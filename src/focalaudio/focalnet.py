@@ -127,9 +127,10 @@ class FocalNetConfig:
 
 @dataclass
 class ModulatorCache:
-    """Modulator of the final focal block of the final stage, one forward pass."""
+    """Modulator of the final focal block of the final stage, one forward pass
+    (of one clip or of a batch)."""
 
-    modulator: np.ndarray  # [C, h, w]
+    modulator: np.ndarray  # [C, h, w], or [B, C, h, w] for a batched forward
     stage_index: int
     block_index: int
     input_hw: tuple  # spatial size the model was fed, before padding

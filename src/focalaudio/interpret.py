@@ -1,17 +1,13 @@
 """From cached modulator to mask, interpretation spectrogram and audio.
 
 The pipeline: the channel-wise L2 norm of the final block's modulator gives a
-nonnegative saliency map at feature resolution; the map is bilinearly
-upsampled to full spectrogram resolution and thresholded at its q-quantile
-(ties kept, so q = 0 retains everything); the binary mask multiplies the
-log-spectrogram ("for_model" mode, what the metrics evaluate) or floors
-masked cells to silence ("for_listening" mode, what gets reconstructed into
-a playable waveform).
-
-Thresholding happens after upsampling by default, which keeps the retained
-fraction of the final mask at 1 - q; thresholding at feature resolution with
-nearest-neighbor upsampling is available behind `upsample_first=False` for
-comparison.
+nonnegative saliency map at feature resolution, one per clip; the map is
+bilinearly upsampled once to full spectrogram resolution and thresholded at
+its q-quantile for every requested q (ties kept, so q = 0 retains
+everything, and the retained fraction is close to 1 - q); each binary mask
+multiplies the log-spectrogram ("for_model" mode, what the metrics evaluate)
+or floors masked cells to silence ("for_listening" mode, what gets
+reconstructed into a playable waveform).
 """
 
 from __future__ import annotations
@@ -21,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import LOG_EPS, Spectrogram, Waveform, istft_reconstruct, preprocess, save_wav, write_pgm
+from .audio import Spectrogram, Waveform, istft_reconstruct, preprocess, save_wav, write_pgm
 from .focalnet import ModulatorCache
-from .tensor import bilinear_resize_array
+from .tensor import bilinear_resize_array, no_grad
 
 
 @dataclass
@@ -59,50 +55,39 @@ class InterpretationMask:
         return float(self.mask.mean())
 
 
-def modulation_map(cache: ModulatorCache, clip_id: str = "", model_id: str = "") -> ModulationMap:
+def modulation_map(cache: ModulatorCache, clip_id: str = "",
+                   model_id: str = "") -> ModulationMap | list[ModulationMap]:
     """L2 norm of the cached modulator across the channel dimension, cropped
-    to the feature cells covering the unpadded input."""
+    to the feature cells covering the unpadded input.
+
+    A single-clip cache ([C, h, w]) gives one `ModulationMap`; a batched
+    cache ([B, C, h, w]) gives a list of B maps, each labelled with the
+    given ids.
+    """
     if cache is None:
         raise ValueError("no modulator cache: run forward with cache_modulator=True")
     m = cache.modulator
-    if m.ndim != 3:
-        raise ValueError(f"expected a single-clip modulator [C, h, w], got {m.shape}")
+    if m.ndim not in (3, 4):
+        raise ValueError(f"expected a modulator [C, h, w] or [B, C, h, w], got {m.shape}")
     vh, vw = cache.valid_hw
-    values = np.sqrt((m.astype(np.float64) ** 2).sum(axis=0))[:vh, :vw]
-    return ModulationMap(values=values, clip_id=clip_id, model_id=model_id)
+    values = np.sqrt((m.astype(np.float64) ** 2).sum(axis=-3))[..., :vh, :vw]
+    if m.ndim == 3:
+        return ModulationMap(values=values, clip_id=clip_id, model_id=model_id)
+    return [ModulationMap(values=v, clip_id=clip_id, model_id=model_id) for v in values]
 
 
-def quantile(m: ModulationMap | np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile (type 7) over the flattened map."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile order must be in [0, 1], got {q}")
-    values = m.values if isinstance(m, ModulationMap) else np.asarray(m)
-    return float(np.quantile(values.reshape(-1), q))  # numpy default is type 7
-
-
-def threshold_mask(m: ModulationMap, q: float, target_shape: tuple,
-                   upsample_first: bool = True) -> InterpretationMask:
-    """Binary mask keeping cells at or above the q-quantile (ties retained).
-
-    `upsample_first=True` (default): bilinearly upsample the map to
-    `target_shape`, then threshold at the quantile of the upsampled map.
-    `upsample_first=False`: threshold at feature resolution, then
-    nearest-neighbor upsample the binary mask.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile order must be in [0, 1], got {q}")
-    th, tw = target_shape
-    if upsample_first:
-        up = bilinear_resize_array(m.values, th, tw)
-        thr = quantile(up, q)
-        mask = (up >= thr).astype(np.uint8)
-    else:
-        thr = quantile(m, q)
-        small = (m.values >= thr).astype(np.uint8)
-        rows = np.clip(np.round(np.linspace(0, small.shape[0] - 1, th)).astype(int), 0, small.shape[0] - 1)
-        cols = np.clip(np.round(np.linspace(0, small.shape[1] - 1, tw)).astype(int), 0, small.shape[1] - 1)
-        mask = small[np.ix_(rows, cols)]
-    return InterpretationMask(mask=mask, quantile_order=float(q), threshold=float(thr))
+def threshold_mask(m: ModulationMap, qs, target_shape: tuple) -> list[InterpretationMask]:
+    """One binary mask per quantile order in `qs`, each keeping the cells of
+    the map, bilinearly upsampled to `target_shape`, at or above its
+    q-quantile (type 7; ties retained). The map is upsampled once for all
+    orders and the thresholds come from one `np.quantile` call."""
+    qs = np.asarray(qs, dtype=np.float64)
+    if qs.ndim != 1 or ((qs < 0.0) | (qs > 1.0)).any():
+        raise ValueError(f"quantile orders must be a sequence in [0, 1], got {qs}")
+    up = bilinear_resize_array(m.values, *target_shape)
+    return [InterpretationMask(mask=(up >= thr).astype(np.uint8), quantile_order=float(q),
+                               threshold=float(thr))
+            for q, thr in zip(qs, np.quantile(up, qs))]
 
 
 def apply_mask(s: Spectrogram, m: InterpretationMask, mode: str = "for_model") -> Spectrogram:
@@ -124,27 +109,12 @@ def apply_mask(s: Spectrogram, m: InterpretationMask, mode: str = "for_model") -
     return s.copy_with(out.astype(np.float32))
 
 
-def interpret_spectrogram(model, spec: Spectrogram, q: float, input_size: int,
-                          upsample_first: bool = True, clip_id: str = ""):
-    """One clip through the model; returns (mask, map, predicted class, probs)."""
-    from .audio import to_model_input
-    from . import tensor as T
-
-    x = to_model_input(spec, out=input_size)
-    with T.no_grad():
-        logits, cache = model.forward(x, cache_modulator=True)
-        probs = T.softmax(logits, axis=-1).data
-    mmap = modulation_map(cache, clip_id=clip_id)
-    mask = threshold_mask(mmap, q, spec.log_mag.shape, upsample_first=upsample_first)
-    return mask, mmap, int(np.argmax(probs)), probs
-
-
-def listenable_interpretation(clip: Waveform, model, frontend, q: float,
-                              upsample_first: bool = True) -> Waveform:
+def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
     """Full pipeline: preprocess, forward with cache, mask, reconstruct."""
-    spec, _ = preprocess(clip, frontend)
-    mask, _, _, _ = interpret_spectrogram(model, spec, q, frontend.input_size,
-                                          upsample_first=upsample_first)
+    spec, x = preprocess(clip, frontend)
+    with no_grad():
+        _, cache = model.forward(x, cache_modulator=True)
+    [mask] = threshold_mask(modulation_map(cache), [q], spec.log_mag.shape)
     masked = apply_mask(spec, mask, mode="for_listening")
     return istft_reconstruct(masked.log_mag, masked.phase, masked.params)
 

@@ -8,6 +8,14 @@ log-spectrogram space: the interpretation is `log_mag * mask`, its removal
 is `log_mag * (1 - mask)`, and each goes through the identical
 resize/standardize path as the original input.
 
+`evaluate` is the one evaluation path: it returns a record per (clip, q)
+and `quantile_sweep` averages those records per q. It runs two batched
+steps of no_grad forwards, each in chunks of at most 16 inputs: first the
+clips themselves, caching the modulator that gives each clip's map; then
+every clip's 2·|q| interpretation and removal inputs. For n clips that is
+ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch` and
+`training.evaluate_accuracy` use the same chunked forward loop.
+
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
 
@@ -21,22 +29,25 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.stats import spearmanr
 
 from . import tensor as T
-from .audio import Spectrogram, to_model_input
-from .interpret import InterpretationMask, apply_mask, modulation_map, threshold_mask
+from .audio import to_model_input
+from .interpret import apply_mask, modulation_map, threshold_mask
 
 REFERENCE_FULL_SCALE = {"acc": 0.774, "fid_i": 0.305, "fa": 0.0111, "q": 0.9}
 
 
 @dataclass
 class EvalRecord:
+    """One clip at one quantile order q."""
+
     clip_id: str
-    true_label: int | None
+    q: float
     predicted: int
     predicted_on_interpretation: int
     prob_predicted: float
@@ -106,105 +117,83 @@ def accuracy(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def _forward_probs(model, x) -> np.ndarray:
-    with T.no_grad():
-        logits, _ = model.forward(x)
-        return T.softmax(logits, axis=-1).data
+def batched_logits(model, inputs, batch_size: int = 16, cache_modulator: bool = False):
+    """Logits [N, K] of `inputs`, an iterable of [3, S, S] model inputs,
+    from no_grad forwards of at most `batch_size` stacked inputs. Returns
+    (logits, maps): with `cache_modulator`, one modulation map per input,
+    otherwise an empty list."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    logits, maps = [], []
+    inputs = iter(inputs)
+    while chunk := list(islice(inputs, batch_size)):
+        with T.no_grad():
+            out, cache = model.forward(T.Tensor(np.stack(chunk)), cache_modulator=cache_modulator)
+        logits.append(out.data)
+        if cache_modulator:
+            maps += modulation_map(cache)
+    if not logits:
+        return np.empty((0, model.config.num_classes), dtype=model.dtype), maps
+    return np.concatenate(logits), maps
 
 
-def evaluate_clip(model, spec: Spectrogram, q: float | None, input_size: int,
-                  mask: InterpretationMask | None = None, clip_id: str = "",
-                  true_label: int | None = None, upsample_first: bool = True) -> EvalRecord:
-    """One clip's record: prediction on input, on interpretation, and the
-    predicted-class probability before/after removing the interpretation.
-
-    Either `q` (mask derived from this clip's modulation map) or an explicit
-    `mask` must be given.
-    """
-    x = to_model_input(spec, out=input_size)
-    with T.no_grad():
-        logits, cache = model.forward(x, cache_modulator=mask is None)
-        probs = T.softmax(logits, axis=-1).data
-    pred = int(np.argmax(probs))
-    if mask is None:
-        if q is None:
-            raise ValueError("either q or an explicit mask is required")
-        mask = threshold_mask(modulation_map(cache, clip_id=clip_id), q,
-                              spec.log_mag.shape, upsample_first=upsample_first)
-    interp = apply_mask(spec, mask, mode="for_model")
-    pred_interp = int(np.argmax(_forward_probs(model, to_model_input(interp, out=input_size))))
-    removal = spec.copy_with((spec.log_mag * (1 - mask.mask)).astype(np.float32))
-    probs_removal = _forward_probs(model, to_model_input(removal, out=input_size))
-    return EvalRecord(
-        clip_id=clip_id,
-        true_label=true_label,
-        predicted=pred,
-        predicted_on_interpretation=pred_interp,
-        prob_predicted=float(probs[pred]),
-        prob_predicted_on_removal=float(probs_removal[pred]),
-    )
-
-
-def fid_i(model, clips, q: float, input_size: int, upsample_first: bool = True) -> float:
-    """Fraction of clips whose argmax class survives interpretation."""
-    records = [evaluate_clip(model, s, q, input_size, upsample_first=upsample_first)
-               for s in clips]
-    return float(np.mean([r.agrees for r in records]))
-
-
-def faithfulness(model, clips, q: float, input_size: int, upsample_first: bool = True) -> float:
-    """Mean drop in predicted-class probability after removing the interpretation."""
-    records = [evaluate_clip(model, s, q, input_size, upsample_first=upsample_first)
-               for s in clips]
-    return float(np.mean([r.fa for r in records]))
+def _probs(logits: np.ndarray) -> np.ndarray:
+    return T.softmax(T.Tensor(logits), axis=-1).data
 
 
 def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.ndarray:
     """Argmax class per clip, batched."""
-    inputs = [to_model_input(s, out=input_size).data for s in clips]
-    preds = []
-    for i in range(0, len(inputs), batch_size):
-        xb = T.Tensor(np.stack(inputs[i : i + batch_size]))
-        with T.no_grad():
-            logits, _ = model.forward(xb)
-        preds.extend(np.argmax(logits.data, axis=-1).tolist())
-    return np.asarray(preds, dtype=np.int64)
+    logits, _ = batched_logits(model, (to_model_input(s, out=input_size).data for s in clips),
+                               batch_size)
+    return np.argmax(logits, axis=-1).astype(np.int64)
 
 
-def quantile_sweep(model, clips, q_list, input_size: int, model_id: str = "",
-                   split_id: str = "", upsample_first: bool = True,
-                   clip_ids=None) -> SweepResult:
-    """FID-I and FA across quantile orders, one base forward per clip.
-
-    All q share each clip's modulation map, so the per-clip cost is one
-    cached forward plus two forwards per q.
-    """
+def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalRecord]:
+    """One `EvalRecord` per (clip, q), clip-major, for the spectrograms
+    `clips` and the strictly increasing quantile orders `q_list`."""
     qs = [float(q) for q in q_list]
+    if not qs:
+        raise ValueError("no q values")
     if any(not 0.0 <= q <= 1.0 for q in qs):
         raise ValueError("q values must lie in [0, 1]")
     if any(b <= a for a, b in zip(qs, qs[1:])):
         raise ValueError("q values must be strictly increasing")
     if not clips:
         raise ValueError("empty clip set")
-    clip_ids = clip_ids or [f"clip{i}" for i in range(len(clips))]
-    agree = np.zeros((len(qs), len(clips)))
-    drop = np.zeros((len(qs), len(clips)))
-    for ci, (spec, cid) in enumerate(zip(clips, clip_ids)):
-        x = to_model_input(spec, out=input_size)
-        with T.no_grad():
-            logits, cache = model.forward(x, cache_modulator=True)
-            probs = T.softmax(logits, axis=-1).data
-        pred = int(np.argmax(probs))
-        mmap = modulation_map(cache, clip_id=cid)
-        for qi, q in enumerate(qs):
-            mask = threshold_mask(mmap, q, spec.log_mag.shape, upsample_first=upsample_first)
-            interp = apply_mask(spec, mask, mode="for_model")
-            pred_i = int(np.argmax(_forward_probs(model, to_model_input(interp, out=input_size))))
-            removal = spec.copy_with((spec.log_mag * (1 - mask.mask)).astype(np.float32))
-            probs_r = _forward_probs(model, to_model_input(removal, out=input_size))
-            agree[qi, ci] = 1.0 if pred_i == pred else 0.0
-            drop[qi, ci] = float(probs[pred]) - float(probs_r[pred])
-    entries = [(q, float(agree[qi].mean()), float(drop[qi].mean())) for qi, q in enumerate(qs)]
+    if clip_ids is None:
+        clip_ids = [f"clip{i}" for i in range(len(clips))]
+    if len(clip_ids) != len(clips):
+        raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
+    logits, maps = batched_logits(
+        model, (to_model_input(s, out=input_size).data for s in clips), cache_modulator=True)
+    probs = _probs(logits)
+    preds = np.argmax(probs, axis=-1)
+
+    def masked_inputs():
+        # per clip and q: the interpretation, then its removal
+        for spec, mmap in zip(clips, maps):
+            for mask in threshold_mask(mmap, qs, spec.log_mag.shape):
+                interp = apply_mask(spec, mask, mode="for_model")
+                removal = spec.copy_with((spec.log_mag * (1 - mask.mask)).astype(np.float32))
+                yield to_model_input(interp, out=input_size).data
+                yield to_model_input(removal, out=input_size).data
+
+    masked, _ = batched_logits(model, masked_inputs())
+    masked = _probs(masked).reshape(len(clips), len(qs), 2, -1)
+    return [EvalRecord(clip_id=cid, q=q, predicted=int(preds[c]),
+                       predicted_on_interpretation=int(np.argmax(masked[c, i, 0])),
+                       prob_predicted=float(probs[c, preds[c]]),
+                       prob_predicted_on_removal=float(masked[c, i, 1, preds[c]]))
+            for c, cid in enumerate(clip_ids) for i, q in enumerate(qs)]
+
+
+def quantile_sweep(model, clips, q_list, input_size: int, model_id: str = "",
+                   split_id: str = "", clip_ids=None) -> SweepResult:
+    """FID-I and FA across quantile orders: per-q means of `evaluate`'s records."""
+    records = evaluate(model, clips, q_list, input_size, clip_ids=clip_ids)
+    fid = np.array([r.agrees for r in records], dtype=np.float64).reshape(len(clips), -1).mean(0)
+    fa = np.array([r.fa for r in records]).reshape(len(clips), -1).mean(0)
+    entries = [(r.q, float(f), float(d)) for r, f, d in zip(records[:fid.size], fid, fa)]
     return SweepResult(entries=entries, n_clips=len(clips), model_id=model_id, split_id=split_id)
 
 

@@ -1,10 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A small numpy-backed engine providing exactly the operators the focal
-modulation classifier needs: linear maps, depth-wise 2-d convolution, GeLU,
-layer normalization, pooling, bilinear resizing and softmax, each with a
-hand-written backward rule. Gradients are recorded on a tape of nodes
-ordered by creation, so `backward` is a single reverse sweep.
+modulation classifier and its loss need: linear maps, depth-wise 2-d
+convolution, GeLU, layer normalization, global average pooling and softmax,
+plus the elementwise, reduction, indexing, reshaping and padding ops between
+them, each with a hand-written backward rule. Gradients are recorded on a
+tape of nodes ordered by creation, so `backward` is a single reverse sweep.
+Bilinear resizing, which only the frontend and the masks use, is the
+plain-array `bilinear_resize_array` and has no gradient.
 
 Conventions fixed here and used everywhere else in the package:
 
@@ -380,23 +383,6 @@ def pad_bottom_right(a: Tensor, pad_h: int, pad_w: int) -> Tensor:
     return _attach(out, (a,), "pad", bw)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw():
-        g = out.grad
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
-                _accum(t, g[tuple(sl)])
-
-    return _attach(out, tuple(tensors), "concat", bw)
-
-
 # ---------------------------------------------------------------------------
 # neural operators
 # ---------------------------------------------------------------------------
@@ -565,7 +551,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def _interp_coeffs(in_len: int, out_len: int, dtype):
     """Align-corners source indices and blend weights for one axis."""
     if out_len < 1:
-        raise ValueError("bilinear_resize: output size must be >= 1")
+        raise ValueError("bilinear_resize_array: output size must be >= 1")
     if in_len == 1 or out_len == 1:
         pos = np.zeros(out_len, dtype=np.float64)
     else:
@@ -590,32 +576,6 @@ def _resize_axis(data: np.ndarray, out_len: int, axis: int) -> np.ndarray:
 def bilinear_resize_array(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Plain-array bilinear resize of the two trailing axes (align-corners)."""
     return _resize_axis(_resize_axis(data, out_h, data.ndim - 2), out_w, data.ndim - 1)
-
-
-def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of the two trailing axes under align-corners sampling."""
-    x = _as_tensor(x)
-    if x.ndim < 2:
-        raise ValueError(f"bilinear_resize: expected at least 2 axes, got {x.shape}")
-    out = Tensor(bilinear_resize_array(x.data, out_h, out_w))
-    in_h, in_w = x.shape[-2], x.shape[-1]
-
-    def bw():
-        if not x.requires_grad:
-            return
-        g = out.grad
-        # adjoint of the two separable interpolations, applied in reverse
-        for axis, in_len in ((x.ndim - 1, in_w), (x.ndim - 2, in_h)):
-            i0, i1, w = _interp_coeffs(in_len, g.shape[axis], g.dtype)
-            gm = np.moveaxis(g, axis, 0)
-            acc = np.zeros((in_len,) + gm.shape[1:], dtype=g.dtype)
-            wr = w.reshape((-1,) + (1,) * (gm.ndim - 1))
-            np.add.at(acc, i0, gm * (1 - wr))
-            np.add.at(acc, i1, gm * wr)
-            g = np.moveaxis(acc, 0, axis)
-        _accum(x, g)
-
-    return _attach(out, (x,), "bilinear_resize", bw)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import tensor as T
 from .audio import AugmentPolicy, FrontendConfig, augment
-from .focalnet import FocalNet, FocalNetConfig
+from .focalnet import FocalNet, FocalNetConfig, _l2_normalize
+from .metrics import batched_logits
 from .tensor import NumericalError, Tensor, backward
 
 
@@ -109,8 +110,8 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
         bad = int(np.argmin(norms))
         who = clip_ids[bad] if clip_ids is not None else f"batch row {bad}"
         raise NumericalError(f"zero-norm feature row for {who}")
-    fn = _l2_rows(features)
-    wn = _l2_rows(class_weights)
+    fn = _l2_normalize(features)
+    wn = _l2_normalize(class_weights)
     cosine = T.linear(fn, wn)  # [B, K]
     dtype = features.dtype.type
     onehot = np.zeros(cosine.shape, dtype=features.dtype)
@@ -121,10 +122,6 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
     lse = T.log(T.exp(logits - Tensor(shift)).sum(axis=-1)) + Tensor(shift[:, 0])
     picked = (logits * Tensor(onehot)).sum(axis=-1)
     return (lse - picked).mean()
-
-
-def _l2_rows(t: Tensor) -> Tensor:
-    return t / T.sqrt((t * t).sum(axis=-1, keepdims=True))
 
 
 def cyclic_lr(step: int, lr_min: float, lr_max: float, step_size: int) -> float:
@@ -266,13 +263,8 @@ def _clip_seed(seed: int, epoch: int, clip_id: str) -> list:
 
 
 def evaluate_accuracy(model: FocalNet, data: ClipSet, batch_size: int = 16) -> float:
-    preds = []
-    for i in range(0, len(data), batch_size):
-        xb = Tensor(data.inputs[i : i + batch_size])
-        with T.no_grad():
-            logits, _ = model.forward(xb)
-        preds.extend(np.argmax(logits.data, axis=-1).tolist())
-    return float((np.asarray(preds) == data.labels).mean())
+    logits, _ = batched_logits(model, data.inputs, batch_size)
+    return float((np.argmax(logits, axis=-1) == data.labels).mean())
 
 
 def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
