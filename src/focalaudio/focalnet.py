@@ -14,8 +14,9 @@ A focal modulation layer replaces token-to-token attention with three steps:
 The modulator of the last block of the last stage is cached on request; its
 channel-wise L2 norm is the saliency map the interpretation pipeline uses.
 
-Feature maps are channel-first ([C, H, W] or [B, C, H, W]); channel
-projections are applied along the channel axis at every location.
+Feature maps are channel-first batches [B, C, H, W]; channel projections
+are applied along the channel axis at every location. Only the model entry
+takes a single [3, H, W] input too, as a batch of one.
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ class FocalNetConfig:
 @dataclass
 class ModulatorCache:
     """Modulator of the final focal block of the final stage, one forward pass
-    (of one clip or of a batch)."""
+    of a batch (a single input is a batch of one)."""
 
-    modulator: np.ndarray  # [C, h, w], or [B, C, h, w] for a batched forward
+    modulator: np.ndarray  # [B, C, h, w]
     stage_index: int
     block_index: int
     input_hw: tuple  # spatial size the model was fed, before padding
@@ -166,8 +167,8 @@ class ChannelNorm(Module):
         self.beta = T.zeros_param(dim, dtype=dtype)
         self.eps = eps
 
-    def forward(self, x: Tensor, axis: int = -3) -> Tensor:
-        return T.layernorm(x, self.gamma, self.beta, eps=self.eps, axis=axis)
+    def forward(self, x: Tensor) -> Tensor:
+        return T.layernorm(x, self.gamma, self.beta, eps=self.eps, axis=-3)
 
 
 class FocalLayer(Module):
@@ -259,39 +260,27 @@ class PatchEmbed(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         p = self.patch
-        h, w = x.shape[-2], x.shape[-1]
+        b, c, h, w = x.shape
         pad_h = (-h) % p
         pad_w = (-w) % p
         if pad_h or pad_w:
             x = T.pad_bottom_right(x, pad_h, pad_w)
         hp, wp = (h + pad_h) // p, (w + pad_w) // p
-        c = x.shape[-3]
-        batched = x.ndim == 4
-        if batched:
-            b = x.shape[0]
-            x = T.reshape(x, (b, c, hp, p, wp, p))
-            x = T.transpose(x, (0, 2, 4, 1, 3, 5))
-            x = T.reshape(x, (b, hp, wp, c * p * p))
-        else:
-            x = T.reshape(x, (c, hp, p, wp, p))
-            x = T.transpose(x, (1, 3, 0, 2, 4))
-            x = T.reshape(x, (hp, wp, c * p * p))
+        x = T.reshape(x, (b, c, hp, p, wp, p))
+        x = T.transpose(x, (0, 2, 4, 1, 3, 5))
+        x = T.reshape(x, (b, hp, wp, c * p * p))
         x = self.proj(x)
         return T.moveaxis(x, -1, -3)
 
 
 class Stage(Module):
+    """Blocks of one resolution (the `stages.i.blocks.j` parameter paths)."""
+
     def __init__(self, dim: int, depth: int, levels: int, kernel_sizes, mlp_ratio, norm_eps, rng, dtype):
         self.blocks = [
             FocalBlock(dim, levels, kernel_sizes, mlp_ratio, norm_eps, rng, dtype)
             for _ in range(depth)
         ]
-
-    def forward(self, x: Tensor) -> tuple:
-        modulator = None
-        for block in self.blocks:
-            x, modulator = block(x)
-        return x, modulator
 
 
 class FocalNet(Module):
@@ -330,9 +319,13 @@ class FocalNet(Module):
         return sum(p.size for p in self.parameters())
 
     def forward_features(self, x: Tensor, cache_modulator: bool = False):
-        """Backbone up to pooled features; returns (features, cache)."""
-        if x.shape[-3] != self.IN_CHANNELS:
-            raise ValueError(f"expected {self.IN_CHANNELS} input channels, got {x.shape[-3]}")
+        """Backbone up to pooled features [B, C]; returns (features, cache).
+        The one place that takes a single input [3, H, W], as a batch of one
+        (through `T.reshape`, so a gradient still reaches it)."""
+        if x.ndim == 3:
+            x = T.reshape(x, (1, *x.shape))
+        if x.ndim != 4 or x.shape[1] != self.IN_CHANNELS:
+            raise ValueError(f"expected input [B, 3, H, W] or [3, H, W], got {x.shape}")
         input_hw = (x.shape[-2], x.shape[-1])
         x = self.stem(x)
         check_finite(x.data, "stem")
@@ -371,6 +364,7 @@ class FocalNet(Module):
         return self.logits_from_features(feats), cache
 
     def predict_proba(self, x: Tensor) -> np.ndarray:
+        """Class probabilities [B, K]."""
         with T.no_grad():
             logits, _ = self.forward(x)
             return T.softmax(logits, axis=-1).data

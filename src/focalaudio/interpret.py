@@ -27,8 +27,6 @@ class ModulationMap:
     """Saliency at feature resolution: per-location L2 norm over channels."""
 
     values: np.ndarray  # [h, w], nonnegative
-    clip_id: str = ""
-    model_id: str = ""
 
     def __post_init__(self):
         if self.values.ndim != 2:
@@ -46,8 +44,7 @@ class InterpretationMask:
     threshold: float
 
     def __post_init__(self):
-        u = np.unique(self.mask)
-        if not np.isin(u, (0, 1)).all():
+        if not ((self.mask == 0) | (self.mask == 1)).all():
             raise ValueError("mask entries must be 0 or 1")
 
     @property
@@ -55,25 +52,15 @@ class InterpretationMask:
         return float(self.mask.mean())
 
 
-def modulation_map(cache: ModulatorCache, clip_id: str = "",
-                   model_id: str = "") -> ModulationMap | list[ModulationMap]:
-    """L2 norm of the cached modulator across the channel dimension, cropped
-    to the feature cells covering the unpadded input.
-
-    A single-clip cache ([C, h, w]) gives one `ModulationMap`; a batched
-    cache ([B, C, h, w]) gives a list of B maps, each labelled with the
-    given ids.
-    """
+def modulation_map(cache: ModulatorCache) -> list[ModulationMap]:
+    """One map per input of the cached batch: the L2 norm of the modulator
+    [B, C, h, w] across channels, cropped to the feature cells covering the
+    unpadded input. A forward of a single input gives a list of one."""
     if cache is None:
         raise ValueError("no modulator cache: run forward with cache_modulator=True")
-    m = cache.modulator
-    if m.ndim not in (3, 4):
-        raise ValueError(f"expected a modulator [C, h, w] or [B, C, h, w], got {m.shape}")
     vh, vw = cache.valid_hw
-    values = np.sqrt((m.astype(np.float64) ** 2).sum(axis=-3))[..., :vh, :vw]
-    if m.ndim == 3:
-        return ModulationMap(values=values, clip_id=clip_id, model_id=model_id)
-    return [ModulationMap(values=v, clip_id=clip_id, model_id=model_id) for v in values]
+    values = np.sqrt((cache.modulator.astype(np.float64) ** 2).sum(axis=1))[:, :vh, :vw]
+    return [ModulationMap(values=v) for v in values]
 
 
 def threshold_mask(m: ModulationMap, qs, target_shape: tuple) -> list[InterpretationMask]:
@@ -114,7 +101,8 @@ def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Wave
     spec, x = preprocess(clip, frontend)
     with no_grad():
         _, cache = model.forward(x, cache_modulator=True)
-    [mask] = threshold_mask(modulation_map(cache), [q], spec.log_mag.shape)
+    [mmap] = modulation_map(cache)
+    [mask] = threshold_mask(mmap, [q], spec.log_mag.shape)
     masked = apply_mask(spec, mask, mode="for_listening")
     return istft_reconstruct(masked.log_mag, masked.phase, masked.params)
 

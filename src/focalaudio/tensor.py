@@ -80,7 +80,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._op = "leaf"
         self._seq = next(_seq_counter)
 
@@ -168,8 +168,11 @@ def _as_tensor(x, dtype=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype or DEFAULT_DTYPE))
 
 
-def _attach(out: Tensor, parents: Sequence[Tensor], op: str, backward: Callable[[], None]) -> Tensor:
-    """Record the tape node if grad mode is on and any parent needs it."""
+def _attach(out: Tensor, parents: Sequence[Tensor], op: str,
+            backward: Callable[[np.ndarray], None]) -> Tensor:
+    """Record the tape node if grad mode is on and any parent needs it.
+    `backward(g)` gets the gradient of `out` and must not refer to `out`:
+    that would make a reference cycle only the cyclic collector frees."""
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -205,8 +208,7 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
@@ -219,8 +221,7 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data * b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
@@ -233,9 +234,9 @@ def neg(a) -> Tensor:
     a = _as_tensor(a)
     out = Tensor(-a.data)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, -out.grad)
+            _accum(a, -g)
 
     return _attach(out, (a,), "neg", bw)
 
@@ -244,8 +245,7 @@ def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data / b.data)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if a.requires_grad:
             _accum(a, _unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
@@ -255,11 +255,12 @@ def div(a, b) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
+    y = np.exp(a.data)
+    out = Tensor(y)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad * out.data)
+            _accum(a, g * y)
 
     return _attach(out, (a,), "exp", bw)
 
@@ -267,19 +268,20 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     out = Tensor(np.log(a.data))
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad / a.data)
+            _accum(a, g / a.data)
 
     return _attach(out, (a,), "log", bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data))
+    y = np.sqrt(a.data)
+    out = Tensor(y)
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad * (0.5 / out.data))
+            _accum(a, g * (0.5 / y))
 
     return _attach(out, (a,), "sqrt", bw)
 
@@ -291,10 +293,9 @@ def sqrt(a: Tensor) -> Tensor:
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
-    def bw():
+    def bw(g):
         if not a.requires_grad:
             return
-        g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape).copy())
@@ -306,10 +307,9 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
     count = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
 
-    def bw():
+    def bw(g):
         if not a.requires_grad:
             return
-        g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape) / a.data.dtype.type(count))
@@ -320,9 +320,9 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad.reshape(a.shape))
+            _accum(a, g.reshape(a.shape))
 
     return _attach(out, (a,), "reshape", bw)
 
@@ -332,9 +332,9 @@ def transpose(a: Tensor, axes) -> Tensor:
     out = Tensor(a.data.transpose(axes))
     inv = tuple(np.argsort(axes))
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad.transpose(inv))
+            _accum(a, g.transpose(inv))
 
     return _attach(out, (a,), "transpose", bw)
 
@@ -348,11 +348,11 @@ def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
 def getitem(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx])
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out.grad)
-            _accum(a, g)
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, idx, g)
+            _accum(a, ga)
 
     return _attach(out, (a,), "getitem", bw)
 
@@ -361,9 +361,9 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     out = Tensor(np.broadcast_to(a.data, shape).copy())
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(out.grad, a.shape))
+            _accum(a, _unbroadcast(g, a.shape))
 
     return _attach(out, (a,), "broadcast", bw)
 
@@ -376,9 +376,9 @@ def pad_bottom_right(a: Tensor, pad_h: int, pad_w: int) -> Tensor:
     out = Tensor(np.pad(a.data, widths))
     h, w = a.shape[-2], a.shape[-1]
 
-    def bw():
+    def bw(g):
         if a.requires_grad:
-            _accum(a, out.grad[..., :h, :w])
+            _accum(a, g[..., :h, :w])
 
     return _attach(out, (a,), "pad", bw)
 
@@ -404,8 +404,7 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     out = Tensor(y)
     parents = (x, W) if b is None else (x, W, b)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         g2 = g.reshape(-1, W.shape[0])
         if x.requires_grad:
             _accum(x, (g2 @ W.data).reshape(x.shape))
@@ -423,31 +422,27 @@ def gelu(x: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x.data * x.dtype.type(_INV_SQRT2)))
     out = Tensor(x.data * cdf)
 
-    def bw():
+    def bw(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * x.data * x.data) * x.dtype.type(_INV_SQRT2PI)
-            _accum(x, out.grad * (cdf + x.data * pdf))
+            _accum(x, g * (cdf + x.data * pdf))
 
     return _attach(out, (x,), "gelu", bw)
 
 
-def _dwconv_raw(x4: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Stride-1 depth-wise cross-correlation with zero same-padding.
-
-    x4: [B, C, H, W], k: [C, kh, kw].
-    """
-    kh, kw = k.shape[-2], k.shape[-1]
+def _same_windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero same-padded [B, C, H, W, kh, kw] window view of x [B, C, H, W]."""
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return np.einsum("bchwuv,cuv->bchw", win, k, optimize=True)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
 
 
 def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     """Depth-wise 2-d convolution: each channel sees only its own kernel.
 
-    x: [C, H, W] or [B, C, H, W]; k: [C, kh, kw] with odd kh, kw.
-    Spatial size is preserved by zero same-padding.
+    x: [B, C, H, W]; k: [C, kh, kw] with odd kh, kw. Spatial size is
+    preserved by zero same-padding. The padded window view of x serves both
+    the forward and the kernel gradient.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if k.ndim != 3:
@@ -455,26 +450,19 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     kh, kw = k.shape[1], k.shape[2]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"dwconv2d: kernel sizes must be odd, got ({kh}, {kw})")
-    squeeze = x.ndim == 3
-    x4 = x.data[None] if squeeze else x.data
-    if x4.ndim != 4 or x4.shape[1] != k.shape[0]:
+    if x.ndim != 4 or x.shape[1] != k.shape[0]:
         raise ValueError(
             f"dwconv2d: input {x.shape} incompatible with kernel {k.shape}"
         )
-    y = _dwconv_raw(x4, k.data)
-    out = Tensor(y[0] if squeeze else y)
+    win = _same_windows(x.data, kh, kw)
+    out = Tensor(np.einsum("bchwuv,cuv->bchw", win, k.data, optimize=True))
 
-    def bw():
-        g = out.grad
-        g4 = g[None] if squeeze else g
+    def bw(g):
         if x.requires_grad:
-            gx = _dwconv_raw(g4, k.data[:, ::-1, ::-1])
-            _accum(x, gx[0] if squeeze else gx)
+            gwin = _same_windows(g, kh, kw)
+            _accum(x, np.einsum("bchwuv,cuv->bchw", gwin, k.data[:, ::-1, ::-1], optimize=True))
         if k.requires_grad:
-            ph, pw = kh // 2, kw // 2
-            xp = np.pad(x4, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-            win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-            _accum(k, np.einsum("bchwuv,bchw->cuv", win, g4, optimize=True))
+            _accum(k, np.einsum("bchwuv,bchw->cuv", win, g, optimize=True))
 
     return _attach(out, (x, k), "dwconv2d", bw)
 
@@ -501,8 +489,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: i
     out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
     reduce_axes = tuple(i for i in range(x.ndim) if i != ax)
 
-    def bw():
-        g = out.grad
+    def bw(g):
         if gamma.requires_grad:
             _accum(gamma, (g * xhat).sum(axis=reduce_axes))
         if beta.requires_grad:
@@ -524,9 +511,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     h, w = x.shape[-2], x.shape[-1]
     out = Tensor(x.data.mean(axis=(-2, -1)))
 
-    def bw():
+    def bw(g):
         if x.requires_grad:
-            g = out.grad[..., None, None] / x.dtype.type(h * w)
+            g = g[..., None, None] / x.dtype.type(h * w)
             _accum(x, np.broadcast_to(g, x.shape).copy())
 
     return _attach(out, (x,), "global_avg_pool", bw)
@@ -540,9 +527,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
-    def bw():
+    def bw(g):
         if x.requires_grad:
-            g = out.grad
             _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     return _attach(out, (x,), "softmax", bw)
@@ -600,7 +586,7 @@ def backward(loss: Tensor) -> None:
     nodes.sort(key=lambda t: t._seq)
     loss.grad = np.ones_like(loss.data)
     for t in reversed(nodes):
-        t._backward()
+        t._backward(t.grad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Backbone tests: focal modulation algebra against forced-parameter and
 per-location scalar oracles, shape bookkeeping, caching, determinism."""
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -36,39 +38,40 @@ def scalar_reference_modulator(layer: FocalLayer, x: np.ndarray) -> np.ndarray:
         contexts = [c.data for c in layer.hierarchical_contextualize(Tensor(x))]
     gw, gb = layer.gate_proj.weight.data, layer.gate_proj.bias.data
     hw, hb = layer.out_proj.weight.data, layer.out_proj.bias.data
-    c, h, w = x.shape
+    b, c, h, w = x.shape
     out = np.zeros_like(x)
-    for i in range(h):
-        for j in range(w):
-            gates = gw @ x[:, i, j] + gb
-            blend = np.zeros(c, dtype=x.dtype)
-            for lvl, ctx in enumerate(contexts):
-                blend += gates[lvl] * ctx[:, i, j]
-            out[:, i, j] = hw @ blend + hb
+    for n in range(b):
+        for i in range(h):
+            for j in range(w):
+                gates = gw @ x[n, :, i, j] + gb
+                blend = np.zeros(c, dtype=x.dtype)
+                for lvl, ctx in enumerate(contexts):
+                    blend += gates[lvl] * ctx[n, :, i, j]
+                out[n, :, i, j] = hw @ blend + hb
     return out
 
 
 class TestHierarchicalContextualize:
     def test_level_count(self):
         layer = make_layer(levels=2)
-        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((4, 6, 6))))
+        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((1, 4, 6, 6))))
         assert len(ctx) == 3
 
     def test_all_maps_full_shape(self):
         layer = make_layer()
-        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((4, 5, 7))))
-        assert all(c.shape == (4, 5, 7) for c in ctx)
+        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((2, 4, 5, 7))))
+        assert all(c.shape == (2, 4, 5, 7) for c in ctx)
 
     def test_pooled_map_is_spatially_constant(self):
         layer = make_layer()
-        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((4, 5, 7))))
+        ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((2, 4, 5, 7))))
         pooled = ctx[-1].data
-        assert np.ptp(pooled, axis=(1, 2)).max() == 0.0
+        assert np.ptp(pooled, axis=(2, 3)).max() == 0.0
 
     def test_zero_input_bias_free_gives_zero_maps(self):
         layer = make_layer()
         layer.context_proj.bias.data[:] = 0.0  # zero already; make the premise explicit
-        ctx = layer.hierarchical_contextualize(Tensor(np.zeros((4, 6, 6))))
+        ctx = layer.hierarchical_contextualize(Tensor(np.zeros((1, 4, 6, 6))))
         for c in ctx:
             np.testing.assert_array_equal(c.data, 0.0)
 
@@ -78,7 +81,7 @@ class TestGatedAggregate:
         layer = make_layer()
         layer.gate_proj.weight.data[:] = 0.0
         layer.gate_proj.bias.data[:] = 0.0
-        x = Tensor(RNG.standard_normal((4, 6, 6)))
+        x = Tensor(RNG.standard_normal((1, 4, 6, 6)))
         m = layer.gated_aggregate(x, layer.hierarchical_contextualize(x))
         np.testing.assert_array_equal(m.data, 0.0)
 
@@ -87,14 +90,14 @@ class TestGatedAggregate:
         layer.gate_proj.weight.data[:] = 0.0
         layer.gate_proj.bias.data[:] = [1.0, 0.0, 0.0]  # select level 1
         set_identity(layer.out_proj)
-        x = Tensor(RNG.standard_normal((4, 6, 6)))
+        x = Tensor(RNG.standard_normal((1, 4, 6, 6)))
         ctx = layer.hierarchical_contextualize(x)
         m = layer.gated_aggregate(x, ctx)
         np.testing.assert_allclose(m.data, ctx[0].data, atol=1e-12)
 
     def test_context_count_mismatch(self):
         layer = make_layer()
-        x = Tensor(RNG.standard_normal((4, 6, 6)))
+        x = Tensor(RNG.standard_normal((1, 4, 6, 6)))
         with pytest.raises(ValueError):
             layer.gated_aggregate(x, layer.hierarchical_contextualize(x)[:-1])
 
@@ -106,7 +109,7 @@ class TestGatedAggregate:
             layer.gate_proj.weight.data = rng.standard_normal(layer.gate_proj.weight.shape)
             layer.gate_proj.bias.data = rng.standard_normal(layer.gate_proj.bias.shape)
             layer.out_proj.weight.data = rng.standard_normal(layer.out_proj.weight.shape)
-            x = rng.standard_normal((5, 6, 4))
+            x = rng.standard_normal((2, 5, 6, 4))
             m = layer.gated_aggregate(Tensor(x), layer.hierarchical_contextualize(Tensor(x)))
             ref = scalar_reference_modulator(layer, x)
             assert np.abs(m.data - ref).max() < 1e-5
@@ -118,20 +121,20 @@ class TestFocalModulation:
         set_identity(layer.query)
         layer.out_proj.weight.data[:] = 0.0
         layer.out_proj.bias.data[:] = 1.0  # modulator forced to all ones
-        x = Tensor(RNG.standard_normal((4, 6, 6)))
+        x = Tensor(RNG.standard_normal((1, 4, 6, 6)))
         y, m = layer.focal_modulation(x)
         np.testing.assert_array_equal(m.data, 1.0)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_output_shape_matches_input(self):
         layer = make_layer()
-        for shape in ((4, 3, 9), (4, 8, 8)):
+        for shape in ((1, 4, 3, 9), (2, 4, 8, 8)):
             y, _ = layer.focal_modulation(Tensor(RNG.standard_normal(shape)))
             assert y.shape == shape
 
     def test_gradient_32bit(self):
         layer = FocalLayer(3, 2, (3, 3), np.random.default_rng(0), np.float32)
-        x = Tensor(RNG.standard_normal((3, 5, 5)).astype(np.float32), requires_grad=True)
+        x = Tensor(RNG.standard_normal((1, 3, 5, 5)).astype(np.float32), requires_grad=True)
         params = dict(layer.named_parameters())
         params["x"] = x
 
@@ -144,7 +147,7 @@ class TestFocalModulation:
 
     def test_gradient_64bit(self):
         layer = make_layer(dim=3, kernels=(3, 3))
-        x = Tensor(RNG.standard_normal((3, 4, 4)), requires_grad=True)
+        x = Tensor(RNG.standard_normal((1, 3, 4, 4)), requires_grad=True)
         params = dict(layer.named_parameters())
         params["x"] = x
 
@@ -166,20 +169,20 @@ class TestFocalBlock:
         blk.focal.out_proj.bias.data[:] = 0.0  # modulator == 0, so branch is 0
         blk.mlp.fc2.weight.data[:] = 0.0
         blk.mlp.fc2.bias.data[:] = 0.0
-        x = Tensor(RNG.standard_normal((4, 5, 5)))
+        x = Tensor(RNG.standard_normal((1, 4, 5, 5)))
         y, _ = blk(x)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_shape_preserved(self):
         blk = self.make_block()
-        for shape in ((4, 7, 3), (2, 4, 6, 6)):
+        for shape in ((1, 4, 7, 3), (2, 4, 6, 6)):
             blk2 = self.make_block()
             y, _ = blk2(Tensor(RNG.standard_normal(shape)))
             assert y.shape == shape
 
     def test_stacking_is_sequential_composition(self):
         b1, b2 = self.make_block(), self.make_block()
-        x = Tensor(RNG.standard_normal((4, 5, 5)))
+        x = Tensor(RNG.standard_normal((1, 4, 5, 5)))
         y1, _ = b1(x)
         y2, _ = b2(y1)
         z = x
@@ -192,36 +195,63 @@ class TestPatchEmbed:
     def test_stem_shape_224(self):
         pe = PatchEmbed(3, 128, 4, np.random.default_rng(0), np.float32)
         with no_grad():
-            y = pe(Tensor(RNG.standard_normal((3, 224, 224)).astype(np.float32)))
-        assert y.shape == (128, 56, 56)
+            y = pe(Tensor(RNG.standard_normal((1, 3, 224, 224)).astype(np.float32)))
+        assert y.shape == (1, 128, 56, 56)
 
     def test_interstage_halving(self):
         pe = PatchEmbed(8, 16, 2, np.random.default_rng(0), np.float64)
-        y = pe(Tensor(RNG.standard_normal((8, 10, 14))))
-        assert y.shape == (16, 5, 7)
+        y = pe(Tensor(RNG.standard_normal((2, 8, 10, 14))))
+        assert y.shape == (2, 16, 5, 7)
 
     def test_constant_input_constant_output(self):
         pe = PatchEmbed(2, 5, 4, np.random.default_rng(0), np.float64)
-        y = pe(Tensor(np.full((2, 8, 8), 0.7)))
-        assert np.ptp(y.data, axis=(1, 2)).max() < 1e-12
+        y = pe(Tensor(np.full((1, 2, 8, 8), 0.7)))
+        assert np.ptp(y.data, axis=(2, 3)).max() < 1e-12
 
     def test_pads_to_multiple(self):
         pe = PatchEmbed(2, 5, 4, np.random.default_rng(0), np.float64)
-        y = pe(Tensor(RNG.standard_normal((2, 9, 11))))
-        assert y.shape == (5, 3, 3)
+        y = pe(Tensor(RNG.standard_normal((1, 2, 9, 11))))
+        assert y.shape == (1, 5, 3, 3)
 
 
 class TestFocalNetForward:
     def test_tiny_forward_backward_under_one_second(self):
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
-        x = Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32))
+        x = Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32), requires_grad=True)
         t0 = time.perf_counter()
         logits, cache = net.forward(x, cache_modulator=True)
         loss = (logits * logits).sum()
         backward(loss)
         elapsed = time.perf_counter() - t0
-        assert logits.shape == (4,)
+        assert logits.shape == (1, 4)  # a single input is a batch of one
+        assert x.grad.shape == (3, 32, 32)
         assert elapsed < 1.0
+
+    def test_backward_leaves_no_reference_cycles(self):
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+
+        def train_step():
+            x = Tensor(RNG.standard_normal((2, 3, 32, 32)).astype(np.float32))
+            logits, _ = net.forward(x)
+            loss = (logits * logits).sum()
+            backward(loss)
+            refs, stack, seen = [], [loss], set()
+            while stack:  # every array the tape recorded
+                t = stack.pop()
+                if id(t) not in seen and t._backward is not None:
+                    seen.add(id(t))
+                    refs.append(weakref.ref(t.data))
+                    stack.extend(t._parents)
+            return refs
+
+        gc.disable()
+        try:
+            refs = train_step()
+            alive = sum(r() is not None for r in refs)
+        finally:
+            gc.enable()
+        assert len(refs) > 50
+        assert alive == 0, f"{alive} of {len(refs)} activations outlive the step"
 
     def test_modulator_cache_shape(self):
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
@@ -229,7 +259,7 @@ class TestFocalNetForward:
             _, cache = net.forward(Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32)),
                                    cache_modulator=True)
         # stride 4 then 2: 32 -> 8 -> 4, final dim 16
-        assert cache.modulator.shape == (16, 4, 4)
+        assert cache.modulator.shape == (1, 16, 4, 4)
         assert cache.stage_index == 1
         assert cache.valid_hw == (4, 4)
 
@@ -274,16 +304,24 @@ class TestFocalNetForward:
         xs = RNG.standard_normal((2, 3, 32, 32)).astype(np.float32)
         with no_grad():
             lb, _ = net.forward(Tensor(xs))
-            l0, _ = net.forward(Tensor(xs[0]))
-            l1, _ = net.forward(Tensor(xs[1]))
-        np.testing.assert_allclose(lb.data[0], l0.data, atol=1e-5)
-        np.testing.assert_allclose(lb.data[1], l1.data, atol=1e-5)
+            l0, _ = net.forward(Tensor(xs[:1]))
+            l1, _ = net.forward(Tensor(xs[1:]))
+            single, _ = net.forward(Tensor(xs[0]))
+        np.testing.assert_allclose(lb.data[0], l0.data[0], atol=1e-5)
+        np.testing.assert_allclose(lb.data[1], l1.data[0], atol=1e-5)
+        # a [3, H, W] input is its batch of one
+        np.testing.assert_array_equal(single.data, l0.data)
+
+    def test_rejects_wrong_channel_count(self):
+        net = FocalNet(FocalNetConfig.tiny(), seed=0)
+        with pytest.raises(ValueError, match="expected input"):
+            net.forward(Tensor(np.zeros((1, 2, 32, 32), dtype=np.float32)))
 
     def test_probabilities(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=1)
         p = net.predict_proba(Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32)))
-        assert p.shape == (4,)
-        np.testing.assert_allclose(p.sum(), 1.0, atol=1e-6)
+        assert p.shape == (1, 4)
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
 
 
 @pytest.mark.slow
@@ -292,20 +330,21 @@ class TestDefaultConfig:
         cfg = FocalNetConfig.default(num_classes=50)
         assert cfg.stage_dims == (128, 256, 512, 1024)
         net = FocalNet(cfg, seed=0)
-        x = Tensor(RNG.standard_normal((3, 224, 224)).astype(np.float32))
+        x = Tensor(RNG.standard_normal((1, 3, 224, 224)).astype(np.float32))
         shapes = []
         with no_grad():
             h = net.stem(x)
             shapes.append(h.shape[-2:])
             for i, stage in enumerate(net.stages):
-                h, m = stage(h)
+                for block in stage.blocks:
+                    h, _ = block(h)
                 if i < len(net.downsamples):
                     h = net.downsamples[i](h)
                     shapes.append(h.shape[-2:])
             logits, cache = net.forward(x, cache_modulator=True)
         assert shapes == [(56, 56), (28, 28), (14, 14), (7, 7)]
-        assert logits.shape == (50,)
-        assert cache.modulator.shape == (1024, 7, 7)
+        assert logits.shape == (1, 50)
+        assert cache.modulator.shape == (1, 1024, 7, 7)
 
 
 class TestConfig:

@@ -48,6 +48,14 @@ class TestThresholdMask:
             threshold_mask(ModulationMap(values=np.ones((3, 3))), qs, (6, 6))
 
 
+def test_mask_entries_other_than_zero_and_one_are_rejected():
+    mask = np.ones((4, 5), dtype=np.uint8)
+    InterpretationMask(mask, 0.5, 1.0)
+    mask[2, 3] = 2
+    with pytest.raises(ValueError, match="0 or 1"):
+        InterpretationMask(mask, 0.5, 1.0)
+
+
 def test_all_masked_listening_spectrogram_is_silent():
     spec = tone_spectrogram()
     none_kept = InterpretationMask(np.zeros(spec.log_mag.shape, dtype=np.uint8), 1.0, np.inf)
@@ -65,7 +73,7 @@ class TestModulationMap:
         with no_grad():
             _, cache = model.forward(Tensor(x), cache_modulator=True)
             maps = modulation_map(cache)
-            singles = [modulation_map(model.forward(Tensor(xi), cache_modulator=True)[1])
+            singles = [modulation_map(model.forward(Tensor(xi), cache_modulator=True)[1])[0]
                        for xi in x]
         assert len(maps) == 3
         for batched, single in zip(maps, singles, strict=True):

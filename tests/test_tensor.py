@@ -59,7 +59,7 @@ class TestLinear:
 
 class TestDwconv2d:
     def test_delta_kernel_is_identity(self):
-        x = randt(3, 6, 7, requires_grad=False)
+        x = randt(1, 3, 6, 7, requires_grad=False)
         k = np.zeros((3, 3, 3))
         k[:, 1, 1] = 1.0
         y = dwconv2d(x, Tensor(k))
@@ -67,38 +67,43 @@ class TestDwconv2d:
 
     def test_constant_input_all_ones_kernel(self):
         c = 2.5
-        x = Tensor(np.full((1, 5, 5), c))
+        x = Tensor(np.full((1, 1, 5, 5), c))
         y = dwconv2d(x, Tensor(np.ones((1, 3, 3))))
-        np.testing.assert_allclose(y.data[0, 1:-1, 1:-1], 9 * c)
+        np.testing.assert_allclose(y.data[0, 0, 1:-1, 1:-1], 9 * c)
 
     def test_depthwise_independence(self):
-        x = RNG.standard_normal((4, 8, 8))
+        x = RNG.standard_normal((2, 4, 8, 8))
         k = Tensor(RNG.standard_normal((4, 3, 3)))
         y0 = dwconv2d(Tensor(x), k).data
         x2 = x.copy()
-        x2[0] += RNG.standard_normal((8, 8))
+        x2[0, 0] += RNG.standard_normal((8, 8))
         y1 = dwconv2d(Tensor(x2), k).data
-        np.testing.assert_allclose(y0[1:], y1[1:])
-        assert np.abs(y0[0] - y1[0]).max() > 0
+        np.testing.assert_allclose(y0[:, 1:], y1[:, 1:])
+        np.testing.assert_allclose(y0[1], y1[1])  # and each batch entry sees only itself
+        assert np.abs(y0[0, 0] - y1[0, 0]).max() > 0
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
-            dwconv2d(randt(2, 5, 5), randt(2, 2, 2))
+            dwconv2d(randt(1, 2, 5, 5), randt(2, 2, 2))
+
+    def test_unbatched_input_rejected(self):
+        with pytest.raises(ValueError, match="incompatible"):
+            dwconv2d(randt(2, 5, 5), randt(2, 3, 3))
 
     def test_translation_equivariance_interior(self):
-        x = RNG.standard_normal((2, 10, 10))
+        x = RNG.standard_normal((1, 2, 10, 10))
         k = Tensor(RNG.standard_normal((2, 3, 3)))
         dy, dx = 2, 1
-        xs = np.roll(x, (dy, dx), axis=(1, 2))
+        xs = np.roll(x, (dy, dx), axis=(2, 3))
         y = dwconv2d(Tensor(x), k).data
         ys = dwconv2d(Tensor(xs), k).data
         m = 3  # margin covering padding plus shift
         np.testing.assert_allclose(
-            ys[:, m:-m, m:-m], np.roll(y, (dy, dx), axis=(1, 2))[:, m:-m, m:-m], atol=1e-12
+            ys[..., m:-m, m:-m], np.roll(y, (dy, dx), axis=(2, 3))[..., m:-m, m:-m], atol=1e-12
         )
 
     def test_gradients_vs_finite_differences(self):
-        x = randt(2, 5, 6)
+        x = randt(2, 2, 5, 6)
         k = randt(2, 3, 3)
         errs = gradient_check(lambda: (dwconv2d(x, k) * dwconv2d(x, k)).sum(), {"x": x, "k": k})
         assert max(errs.values()) < 1e-5
@@ -131,7 +136,9 @@ class TestLayernorm:
         x = randt(7, 4, 4, requires_grad=False)
         y = layernorm(x, T.ones_param(7, dtype=np.float64), T.zeros_param(7, dtype=np.float64), axis=0).data
         np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-5)
-        np.testing.assert_allclose(y.var(axis=0), 1.0, atol=1e-4)
+        # (x - mean) / sqrt(var + eps) has variance var / (var + eps), not 1
+        var = x.data.var(axis=0)
+        np.testing.assert_allclose(y.var(axis=0), var / (var + 1e-5), rtol=1e-12)
 
     def test_eps_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -246,13 +253,13 @@ class TestBackward:
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
     def test_composite_graph_finite_differences_64bit(self):
-        x = randt(2, 6, 6)
+        x = randt(1, 2, 6, 6)
         W = randt(2, 2)
         k = randt(2, 3, 3)
 
         def f():
-            h = linear(T.moveaxis(x, 0, 2), W)     # channel mix
-            h = gelu(T.moveaxis(h, 2, 0))
+            h = linear(T.moveaxis(x, 1, 3), W)     # channel mix
+            h = gelu(T.moveaxis(h, 3, 1))
             h = dwconv2d(h, k)
             return global_avg_pool(h).sum()
 
@@ -260,13 +267,13 @@ class TestBackward:
         assert max(errs.values()) < 1e-5
 
     def test_composite_graph_finite_differences_32bit(self):
-        x = randt(2, 6, 6, dtype=np.float32)
+        x = randt(1, 2, 6, 6, dtype=np.float32)
         W = randt(2, 2, dtype=np.float32)
         k = randt(2, 3, 3, dtype=np.float32)
 
         def f():
-            h = linear(T.moveaxis(x, 0, 2), W)
-            h = gelu(T.moveaxis(h, 2, 0))
+            h = linear(T.moveaxis(x, 1, 3), W)
+            h = gelu(T.moveaxis(h, 3, 1))
             h = dwconv2d(h, k)
             return global_avg_pool(h).sum()
 
@@ -284,7 +291,7 @@ class TestOperatorFiniteDifferenceSweep:
             c = int(rng.integers(1, 5))
             h = int(rng.integers(2, 8))
             w = int(rng.integers(2, 8))
-            x = Tensor(rng.standard_normal((c, h, w)), requires_grad=True)
+            x = Tensor(rng.standard_normal((1, c, h, w)), requires_grad=True)
             k = Tensor(rng.standard_normal((c, 3, 3)), requires_grad=True)
             Wm = Tensor(rng.standard_normal((3, w)), requires_grad=True)
             gam = Tensor(rng.standard_normal(c), requires_grad=True)
@@ -293,7 +300,7 @@ class TestOperatorFiniteDifferenceSweep:
                 "linear": (lambda: (linear(x, Wm) * linear(x, Wm)).sum(), {"x": x, "W": Wm}),
                 "dwconv2d": (lambda: gelu(dwconv2d(x, k)).sum(), {"x": x, "k": k}),
                 "gelu": (lambda: (gelu(x) * gelu(x)).sum(), {"x": x}),
-                "layernorm": (lambda: (layernorm(x, gam, bet, axis=0) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
+                "layernorm": (lambda: (layernorm(x, gam, bet, axis=1) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
                 "pool": (lambda: (global_avg_pool(x) * global_avg_pool(x)).sum(), {"x": x}),
                 "softmax": (lambda: (softmax(x) * x).sum(), {"x": x}),
             }
