@@ -172,7 +172,9 @@ def _attach(out: Tensor, parents: Sequence[Tensor], op: str,
             backward: Callable[[np.ndarray], None]) -> Tensor:
     """Record the tape node if grad mode is on and any parent needs it.
     `backward(g)` gets the gradient of `out` and must not refer to `out`:
-    that would make a reference cycle only the cyclic collector frees."""
+    that would make a reference cycle only the cyclic collector frees.
+    `g` is read-only: it may be `out.grad` itself or a view shared with
+    other gradients, so a rule builds new arrays and never writes into it."""
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -182,8 +184,11 @@ def _attach(out: Tensor, parents: Sequence[Tensor], op: str,
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into `t.grad`. The first gradient is stored as is, without a
+    copy, and later ones are summed out of place, so `.grad` may share memory
+    with other gradients: backward rules and callers treat it as read-only."""
     if t.grad is None:
-        t.grad = g.copy() if isinstance(g, np.ndarray) else np.asarray(g)
+        t.grad = np.asarray(g)
     else:
         t.grad = t.grad + g
 
@@ -345,13 +350,27 @@ def moveaxis(a: Tensor, src: int, dst: int) -> Tensor:
     return transpose(a, axes)
 
 
+_BASIC_INDEX_TYPES = (int, slice, type(None), type(Ellipsis))
+
+
+def _is_basic_index(idx) -> bool:
+    for p in idx if isinstance(idx, tuple) else (idx,):
+        if type(p) not in _BASIC_INDEX_TYPES and not isinstance(p, np.integer):
+            return False
+    return True
+
+
 def getitem(a: Tensor, idx) -> Tensor:
+    """Basic indexing only (ints, slices, `...`, `None`): each entry of `a` is
+    picked at most once, so the backward is a plain scatter."""
+    if not _is_basic_index(idx):
+        raise TypeError(f"getitem: only basic indexing is supported, got {idx!r}")
     out = Tensor(a.data[idx])
 
     def bw(g):
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(ga, idx, g)
+            ga[idx] = g
             _accum(a, ga)
 
     return _attach(out, (a,), "getitem", bw)
@@ -442,7 +461,9 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
 
     x: [B, C, H, W]; k: [C, kh, kw] with odd kh, kw. Spatial size is
     preserved by zero same-padding. The padded window view of x serves both
-    the forward and the kernel gradient.
+    the forward and the kernel gradient. The kernel gradient is reduced one
+    tap at a time: a single 6-d einsum over the view would first copy it
+    into a kh*kw times larger im2col array.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if k.ndim != 3:
@@ -462,7 +483,11 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
             gwin = _same_windows(g, kh, kw)
             _accum(x, np.einsum("bchwuv,cuv->bchw", gwin, k.data[:, ::-1, ::-1], optimize=True))
         if k.requires_grad:
-            _accum(k, np.einsum("bchwuv,bchw->cuv", win, g, optimize=True))
+            gk = np.empty(k.shape, dtype=g.dtype)
+            for u in range(kh):
+                for v in range(kw):
+                    gk[:, u, v] = np.einsum("bchw,bchw->c", win[..., u, v], g)
+            _accum(k, gk)
 
     return _attach(out, (x, k), "dwconv2d", bw)
 

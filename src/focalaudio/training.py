@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -274,6 +275,11 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     """Epoch loop with augmentation (training only), per-epoch validation
     accuracy and best-on-validation checkpointing. Deterministic given the
     config seed; supports resuming via `start_epoch` + `optimizer_state`.
+
+    Each step logs `step`, `lr`, `loss` and `grad_norm`, which are
+    deterministic, plus `step_s` (wall time of forward, backward and
+    optimizer step, augmentation excluded) and `clips_per_s` (batch clips
+    over `step_s`), which are not.
     """
     frontend = frontend or FrontendConfig(input_size=train.inputs.shape[-1])
     policy = policy or AugmentPolicy(probability=config.augment_prob)
@@ -302,6 +308,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                     for i in idx
                 ])
                 yb = train.labels[idx]
+                t0 = time.perf_counter()
                 model.zero_grad()
                 feats, _ = model.forward_features(Tensor(xb))
                 loss = am_softmax_loss(feats, model.head.weight, yb,
@@ -318,8 +325,10 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 gnorm = optimizer_step(params, state, lr,
                                        weight_decay=config.weight_decay,
                                        clip_norm=config.grad_clip_norm)
+                step_s = time.perf_counter() - t0
                 losses.append(loss_val)
-                line = {"step": step, "lr": lr, "loss": loss_val, "grad_norm": gnorm}
+                line = {"step": step, "lr": lr, "loss": loss_val, "grad_norm": gnorm,
+                        "step_s": step_s, "clips_per_s": len(idx) / step_s}
                 log_lines.append(line)
                 if log_file is not None:
                     log_file.write(json.dumps(line) + "\n")

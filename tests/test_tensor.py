@@ -2,6 +2,7 @@
 gradients against central finite differences."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,37 @@ class TestDwconv2d:
         k = randt(2, 3, 3)
         errs = gradient_check(lambda: (dwconv2d(x, k) * dwconv2d(x, k)).sum(), {"x": x, "k": k})
         assert max(errs.values()) < 1e-5
+
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (5, 5), (3, 5), (7, 7)])
+    def test_kernel_shapes_vs_finite_differences(self, kh, kw):
+        x = randt(3, 2, 6, 7)
+        k = randt(2, kh, kw)
+        errs = gradient_check(lambda: (dwconv2d(x, k) * dwconv2d(x, k)).sum(), {"x": x, "k": k})
+        assert max(errs.values()) < 1e-5
+
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 3), (3, 5), (7, 7)])
+    def test_kernel_gradient_matches_window_einsum(self, kh, kw):
+        x = randt(3, 4, 9, 8, requires_grad=False)
+        k = randt(4, kh, kw)
+        w = RNG.standard_normal((3, 4, 9, 8))
+        backward((dwconv2d(x, k) * Tensor(w)).sum())
+        xp = np.pad(x.data, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+        np.testing.assert_allclose(k.grad, np.einsum("bchwuv,bchw->cuv", win, w), rtol=0, atol=1e-12)
+
+    def test_kernel_gradient_makes_no_window_copy(self):
+        # an im2col copy of the k*k window view would cost 25x the input here
+        x = Tensor(RNG.standard_normal((4, 8, 16, 16)).astype(np.float32))
+        k = Tensor(RNG.standard_normal((8, 5, 5)).astype(np.float32), requires_grad=True)
+        loss = dwconv2d(x, k).sum()
+        tracemalloc.start()
+        try:
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert k.grad.shape == (8, 5, 5)
+        assert peak < 8 * x.data.nbytes, f"backward peak {peak / x.data.nbytes:.1f}x the input"
 
 
 class TestGelu:
@@ -314,6 +346,11 @@ class TestPlumbingOps:
         x = randt(4, 5)
         errs = gradient_check(lambda: (x[1:3, ::2] * x[1:3, ::2]).sum(), {"x": x})
         assert errs["x"] < 1e-5
+
+    @pytest.mark.parametrize("idx", [[0, 2], np.array([1, 1]), (slice(None), [0, 3]), np.ones(4, bool)])
+    def test_getitem_rejects_advanced_index(self, idx):
+        with pytest.raises(TypeError, match="basic indexing"):
+            randt(4, 5)[idx]
 
     def test_transpose_reshape_grad(self):
         x = randt(2, 3, 4)
