@@ -21,10 +21,11 @@ it; both are accepted as parameters.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.signal import resample_poly
@@ -74,13 +75,6 @@ class StftParams:
     sample_rate: int
     num_samples: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StftParams":
-        return cls(**d)
-
 
 @dataclass
 class Spectrogram:
@@ -121,13 +115,6 @@ class FrontendConfig:
     hop_ms: float = 11.625
     eps: float = LOG_EPS
     input_size: int = 224
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrontendConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +346,6 @@ class AugmentPolicy:
     max_regions: int = 3
     max_fraction: float = 0.15
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentPolicy":
-        return cls(**d)
-
 
 def augment(x: Tensor, policy: AugmentPolicy, rng_seed) -> Tensor:
     """Zero out random frequency bands and/or time chunks of a model input.
@@ -398,50 +378,99 @@ def augment(x: Tensor, policy: AugmentPolicy, rng_seed) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# exports: raw binary container and portable greymaps
+# exports: the checksummed binary container, spectrograms and greymaps
 # ---------------------------------------------------------------------------
+#
+# Checkpoints (`training`) and spectrograms share one container layout:
+#
+#     magic (8 bytes) | <IQ version, header length | JSON header | payload
+#     | SHA-256 of everything before it (32 bytes)
+#
+# The header is sorted-key JSON. Its `arrays` entry indexes the payload: one
+# {kind, name, dtype, shape, offset, nbytes} record per little-endian array
+# (float64 stays "<f8", everything else is stored as "<f4"), written kind by
+# kind in the caller's order and by sorted name within a kind.
 
-_SPEC_MAGIC = b"FASG"
-_SPEC_VERSION = 1
+
+class ContainerError(ValueError):
+    """Unreadable container file: the message names the path and the check
+    that failed (magic, length, checksum, version or header). `training`
+    also raises it, as `CheckpointError`, when a loaded checkpoint does not
+    fit its model; that message names the parameter instead."""
+
+
+def write_container(path, magic: bytes, version: int, header: dict, arrays: dict) -> None:
+    """Write `header` plus `arrays` ({kind: {name: ndarray}}) as a container."""
+    index = []
+    raws = []
+    offset = 0
+    for kind, named in arrays.items():
+        for name in sorted(named):
+            arr = named[name]
+            dt = "<f8" if arr.dtype == np.float64 else "<f4"
+            raw = np.ascontiguousarray(arr, dtype=dt)
+            index.append({"kind": kind, "name": name, "dtype": dt,
+                          "shape": list(arr.shape), "offset": offset, "nbytes": raw.nbytes})
+            raws.append(raw)
+            offset += raw.nbytes
+    head = json.dumps({**header, "arrays": index}, sort_keys=True).encode()
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in (magic + struct.pack("<IQ", version, len(head)) + head, *raws):
+            digest.update(part)
+            f.write(part)
+        f.write(digest.digest())
+
+
+def read_container(path, magic: bytes, version: int) -> tuple[dict, dict]:
+    """Read a container written by `write_container` with the same magic and
+    version; returns the header (without the index) and {kind: {name: ndarray}}.
+
+    Magic, length, checksum and version are checked, in that order, before
+    the header is parsed (a file shorter than the magic is reported as
+    truncated); any failure raises `ContainerError`.
+    """
+    with open(path, "rb") as f:
+        blob = memoryview(f.read())
+    prefix = len(magic) + 12
+    if len(blob) < len(magic):
+        raise ContainerError(f"{path}: truncated, {len(blob)} bytes")
+    if blob[: len(magic)] != magic:
+        raise ContainerError(f"{path}: magic mismatch, not a {magic.decode()} container")
+    if len(blob) < prefix + 32:
+        raise ContainerError(f"{path}: truncated, {len(blob)} bytes")
+    body = blob[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
+        raise ContainerError(f"{path}: checksum mismatch, refusing to load")
+    found, hlen = struct.unpack("<IQ", body[len(magic) : prefix])
+    if found != version:
+        raise ContainerError(f"{path}: unsupported version {found}, expected {version}")
+    payload = body[prefix + hlen :]
+    arrays: dict = {}
+    try:  # a checksummed file can still come from another writer
+        header = json.loads(bytes(body[prefix : prefix + hlen]))
+        for a in header.pop("arrays"):
+            raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
+            arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
+            arrays.setdefault(a["kind"], {})[a["name"]] = arr
+    except (ValueError, KeyError, TypeError) as e:
+        raise ContainerError(f"{path}: malformed header: {e}") from None
+    return header, arrays
+
+
+_SPEC_MAGIC = b"FOCALSPG"
+_SPEC_VERSION = 2
 
 
 def save_spectrogram(s: Spectrogram, path) -> None:
-    """Raw binary container: magic, version, JSON header, log_mag then phase
-    as little-endian float32."""
-    header = json.dumps(
-        {
-            "freq_bins": s.freq_bins,
-            "frames": s.frames,
-            "dtype": "<f4",
-            "stft_params": s.params.to_dict(),
-        },
-        sort_keys=True,
-    ).encode()
-    with open(path, "wb") as f:
-        f.write(_SPEC_MAGIC)
-        f.write(struct.pack("<II", _SPEC_VERSION, len(header)))
-        f.write(header)
-        f.write(s.log_mag.astype("<f4").tobytes())
-        f.write(s.phase.astype("<f4").tobytes())
+    """Log magnitude and phase plus the STFT parameters, as a container."""
+    write_container(path, _SPEC_MAGIC, _SPEC_VERSION, {"stft_params": asdict(s.params)},
+                    {"spectrogram": {"log_mag": s.log_mag, "phase": s.phase}})
 
 
 def load_spectrogram(path) -> Spectrogram:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _SPEC_MAGIC:
-        raise ValueError(f"{path}: not a spectrogram container")
-    version, hlen = struct.unpack("<II", blob[4:12])
-    if version != _SPEC_VERSION:
-        raise ValueError(f"{path}: unsupported container version {version}")
-    header = json.loads(blob[12 : 12 + hlen])
-    fb, fr = header["freq_bins"], header["frames"]
-    n = fb * fr * 4
-    body = blob[12 + hlen :]
-    if len(body) != 2 * n:
-        raise ValueError(f"{path}: payload size mismatch")
-    log_mag = np.frombuffer(body[:n], dtype="<f4").reshape(fb, fr).copy()
-    phase = np.frombuffer(body[n:], dtype="<f4").reshape(fb, fr).copy()
-    return Spectrogram(log_mag=log_mag, phase=phase, params=StftParams.from_dict(header["stft_params"]))
+    header, arrays = read_container(path, _SPEC_MAGIC, _SPEC_VERSION)
+    return Spectrogram(params=StftParams(**header["stft_params"]), **arrays["spectrogram"])
 
 
 def write_pgm(matrix: np.ndarray, path) -> None:

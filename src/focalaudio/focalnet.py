@@ -21,7 +21,7 @@ takes a single [3, H, W] input too, as a batch of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,23 +107,6 @@ class FocalNetConfig:
     def desk(cls, num_classes: int = 4) -> "FocalNetConfig":
         """Small model for CPU-scale experiments on 96x96 inputs (<1M params)."""
         return cls(stage_depths=(2, 2), stage_dims=(16, 32), num_classes=num_classes)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["stage_depths"] = list(self.stage_depths)
-        d["stage_dims"] = list(self.stage_dims)
-        d["focal_levels"] = list(self.focal_levels)
-        d["kernel_sizes"] = [list(k) for k in self.kernel_sizes]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FocalNetConfig":
-        d = dict(d)
-        d["stage_depths"] = tuple(d["stage_depths"])
-        d["stage_dims"] = tuple(d["stage_dims"])
-        d["focal_levels"] = tuple(d["focal_levels"])
-        d["kernel_sizes"] = tuple(tuple(k) for k in d["kernel_sizes"])
-        return cls(**d)
 
 
 @dataclass

@@ -1,6 +1,12 @@
 """Optimization: additive-margin softmax loss, Adam with a cyclic triangular
 learning rate and global-norm gradient clipping, the epoch loop, and
-versioned checksummed checkpoints.
+checkpoints.
+
+A checkpoint is stored in the package's one binary container
+(`audio.write_container` / `audio.read_container`: magic, version, sorted-key
+JSON header, little-endian arrays, SHA-256 trailer). The header carries the
+three configs as `dataclasses.asdict` dicts, the history and the Adam step;
+the arrays are the parameters and the Adam moments, by parameter path.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -17,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import time
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -26,14 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import AugmentPolicy, FrontendConfig, augment
+from .audio import (AugmentPolicy, ContainerError, FrontendConfig, augment, read_container,
+                    write_container)
 from .focalnet import FocalNet, FocalNetConfig, _l2_normalize
 from .metrics import batched_logits
 from .tensor import NumericalError, Tensor, backward
 
 
-class CheckpointError(ValueError):
-    """Unreadable, version-mismatched or corrupted checkpoint container."""
+# unreadable checkpoint files and checkpoints that do not fit the model
+CheckpointError = ContainerError
 
 
 class TrainingDiverged(RuntimeError):
@@ -81,13 +87,6 @@ class TrainConfig:
                     augment_prob=0.75, seed=0)
         base.update(overrides)
         return cls(**base)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +352,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container (versioned, checksummed)
+# checkpoints
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
@@ -361,73 +360,27 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Self-describing container: parameter paths, shapes and raw
-    little-endian values, plus configs and history; SHA-256 trailer."""
-    arrays = []
-    payload = bytearray()
-
-    def put(kind: str, name: str, arr: np.ndarray):
-        dt = "<f8" if arr.dtype == np.float64 else "<f4"
-        raw = arr.astype(dt).tobytes()
-        arrays.append({
-            "kind": kind, "name": name, "dtype": dt,
-            "shape": list(arr.shape), "offset": len(payload), "nbytes": len(raw),
-        })
-        payload.extend(raw)
-
-    for name in sorted(ckpt.params):
-        put("param", name, ckpt.params[name])
-    for name in sorted(ckpt.optimizer.m):
-        put("adam_m", name, ckpt.optimizer.m[name])
-    for name in sorted(ckpt.optimizer.v):
-        put("adam_v", name, ckpt.optimizer.v[name])
-
-    header = json.dumps({
-        "model_config": ckpt.model_config.to_dict(),
-        "train_config": ckpt.train_config.to_dict(),
-        "frontend": ckpt.frontend.to_dict(),
+    """Parameters and Adam moments by path, configs, history and Adam step."""
+    header = {
+        "model_config": asdict(ckpt.model_config),
+        "train_config": asdict(ckpt.train_config),
+        "frontend": asdict(ckpt.frontend),
         "history": ckpt.history,
         "optimizer_t": ckpt.optimizer.t,
-        "arrays": arrays,
-    }, sort_keys=True).encode()
-
-    body = _CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(header)) + header + bytes(payload)
-    digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as f:
-        f.write(body)
-        f.write(digest)
+    }
+    arrays = {"param": ckpt.params, "adam_m": ckpt.optimizer.m, "adam_v": ckpt.optimizer.v}
+    write_container(path, _CKPT_MAGIC, _CKPT_VERSION, header, arrays)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Validates magic, version and checksum before building anything."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if len(blob) < len(_CKPT_MAGIC) + 12 + 32 or blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint container")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CheckpointError(f"{path}: checksum mismatch, refusing to load")
-    version, hlen = struct.unpack("<IQ", body[8:20])
-    if version != _CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(body[20 : 20 + hlen])
-    payload = body[20 + hlen :]
-    params: dict = {}
-    state = AdamState(t=header["optimizer_t"])
-    for a in header["arrays"]:
-        raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
-        arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
-        if a["kind"] == "param":
-            params[a["name"]] = arr
-        elif a["kind"] == "adam_m":
-            state.m[a["name"]] = arr
-        elif a["kind"] == "adam_v":
-            state.v[a["name"]] = arr
+    """The container is validated before anything is built."""
+    header, arrays = read_container(path, _CKPT_MAGIC, _CKPT_VERSION)
     return Checkpoint(
-        params=params,
-        optimizer=state,
-        train_config=TrainConfig.from_dict(header["train_config"]),
-        model_config=FocalNetConfig.from_dict(header["model_config"]),
-        frontend=FrontendConfig.from_dict(header["frontend"]),
+        params=arrays.get("param", {}),
+        optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),
+                            t=header["optimizer_t"]),
+        train_config=TrainConfig(**header["train_config"]),
+        model_config=FocalNetConfig(**header["model_config"]),
+        frontend=FrontendConfig(**header["frontend"]),
         history=header["history"],
     )

@@ -8,6 +8,7 @@ import pytest
 from focalaudio.audio import (
     AugmentPolicy,
     ConfigError,
+    ContainerError,
     FrontendConfig,
     Spectrogram,
     Waveform,
@@ -264,6 +265,23 @@ class TestSpectrogramContainer:
         p = tmp_path / "s.fasg"
         p.write_bytes(b"JUNKJUNKJUNK")
         with pytest.raises(ValueError):
+            load_spectrogram(p)
+
+    @pytest.mark.parametrize("size", [6, 11, 40])
+    def test_truncated_file_names_path(self, tmp_path, size):
+        p = tmp_path / "s.fasg"
+        save_spectrogram(stft(sine(800, 1.0, 16000)), p)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(ContainerError, match="s.fasg: truncated"):
+            load_spectrogram(p)
+
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        p = tmp_path / "s.fasg"
+        save_spectrogram(stft(sine(800, 1.0, 16000)), p)
+        blob = bytearray(p.read_bytes())
+        blob[-40] ^= 0x01  # last phase value, before the 32-byte trailer
+        p.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="s.fasg: checksum mismatch"):
             load_spectrogram(p)
 
     def test_pgm_writer(self, tmp_path):

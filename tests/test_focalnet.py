@@ -2,13 +2,16 @@
 per-location scalar oracles, shape bookkeeping, caching, determinism."""
 
 import gc
+import json
 import time
 import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from focalaudio import tensor as T
+from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import (
     Dense,
     FocalBlock,
@@ -18,6 +21,7 @@ from focalaudio.focalnet import (
     PatchEmbed,
 )
 from focalaudio.tensor import NumericalError, Tensor, backward, gradient_check, no_grad
+from focalaudio.training import TrainConfig
 
 RNG = np.random.default_rng(5)
 
@@ -353,8 +357,9 @@ class TestConfig:
         assert cfg.stage_dims == (16, 32, 64)
 
     def test_round_trip_dict(self):
-        cfg = FocalNetConfig.desk(num_classes=4)
-        assert FocalNetConfig.from_dict(cfg.to_dict()) == cfg
+        # through JSON, as a checkpoint header stores them
+        for cfg in (FocalNetConfig.desk(num_classes=4), TrainConfig.desk(), FrontendConfig()):
+            assert type(cfg)(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_bad_kernel_count(self):
         with pytest.raises(ValueError):
