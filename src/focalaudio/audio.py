@@ -60,10 +60,6 @@ class Waveform:
             raise ValueError("sample_rate must be positive")
         self.samples = np.clip(s, -1.0, 1.0)
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class StftParams:
@@ -96,10 +92,6 @@ class Spectrogram:
     @property
     def freq_bins(self) -> int:
         return self.log_mag.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.log_mag.shape[1]
 
     def copy_with(self, log_mag: np.ndarray) -> "Spectrogram":
         return Spectrogram(log_mag=log_mag, phase=self.phase, params=self.params)
@@ -270,26 +262,13 @@ def stft(w: Waveform, n_fft: int = 1024, win_ms: float = 23.0,
     return Spectrogram(log_mag=log_mag, phase=phase, params=params)
 
 
-def _nola_check(window: np.ndarray, hop: int, total: int, half: int, n: int) -> np.ndarray:
-    """Accumulated squared-window envelope; error out if it has holes."""
-    wsq = window * window
-    env = np.zeros(total)
-    for s in range(0, total - window.size + 1, hop):
-        env[s : s + window.size] += wsq
-    interior = env[half : half + n]
-    if interior.min() < 1e-10:
-        raise ConfigError(
-            "window/hop combination violates the nonzero-overlap-add condition; "
-            "the inverse STFT would divide by ~0"
-        )
-    return env
-
-
 def istft_reconstruct(log_mag: np.ndarray, phase: np.ndarray, params: StftParams) -> Waveform:
     """Overlap-add inverse with window-sum normalization.
 
     Masked-out cells floored at log(eps) synthesize as (near) zero magnitude,
-    so an all-masked spectrogram reconstructs as silence.
+    so an all-masked spectrogram reconstructs as silence. A window/hop pair
+    whose squared-window envelope has holes inside the clip raises
+    `ConfigError`.
     """
     if log_mag.shape != phase.shape:
         raise ValueError("log_mag and phase shapes differ")
@@ -303,10 +282,17 @@ def istft_reconstruct(log_mag: np.ndarray, phase: np.ndarray, params: StftParams
     hop, n_fft = params.hop_length, params.n_fft
     half = n_fft // 2
     total = (frames.shape[0] - 1) * hop + n_fft
-    env = _nola_check(window, hop, total, half, params.num_samples)
+    wsq = window * window
     y = np.zeros(total)
+    env = np.zeros(total)
     for i in range(frames.shape[0]):
         y[i * hop : i * hop + n_fft] += frames[i] * window
+        env[i * hop : i * hop + n_fft] += wsq
+    if env[half : half + params.num_samples].min() < 1e-10:
+        raise ConfigError(
+            "window/hop combination violates the nonzero-overlap-add condition; "
+            "the inverse STFT would divide by ~0"
+        )
     y /= np.maximum(env, 1e-12)
     out = y[half : half + params.num_samples]
     if out.size < params.num_samples:
@@ -338,32 +324,28 @@ def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, Tensor]:
     return spec, to_model_input(spec, out=cfg.input_size)
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    """Random spectrogram dropout: contiguous frequency bands and/or time chunks."""
-
-    probability: float = 0.75
-    max_regions: int = 3
-    max_fraction: float = 0.15
+AUGMENT_MAX_REGIONS = 3
+AUGMENT_MAX_FRACTION = 0.15
 
 
-def augment(x: Tensor, policy: AugmentPolicy, rng_seed) -> Tensor:
+def augment(x: Tensor, probability: float, rng_seed) -> Tensor:
     """Zero out random frequency bands and/or time chunks of a model input.
 
-    Deterministic given the seed. With probability `policy.probability` one
-    of {frequency drop, time drop, both} is applied; each drop zeroes 1 to
-    `max_regions` contiguous regions, each at most `max_fraction` of the axis.
+    Deterministic given the seed. With probability `probability` one of
+    {frequency drop, time drop, both} is applied; each drop zeroes 1 to
+    `AUGMENT_MAX_REGIONS` (3) contiguous regions, each at most
+    `AUGMENT_MAX_FRACTION` (0.15) of the axis.
     """
     rng = np.random.default_rng(rng_seed)
-    if rng.random() >= policy.probability:
+    if rng.random() >= probability:
         return Tensor(x.data.copy())
     data = x.data.copy()
     n_freq, n_time = data.shape[-2], data.shape[-1]
     mode = int(rng.integers(3))  # 0: freq, 1: time, 2: both
 
     def drop(axis_len: int, axis: int):
-        for _ in range(int(rng.integers(1, policy.max_regions + 1))):
-            width = int(rng.integers(1, max(1, int(axis_len * policy.max_fraction)) + 1))
+        for _ in range(int(rng.integers(1, AUGMENT_MAX_REGIONS + 1))):
+            width = int(rng.integers(1, max(1, int(axis_len * AUGMENT_MAX_FRACTION)) + 1))
             start = int(rng.integers(0, axis_len - width + 1))
             if axis == -2:
                 data[..., start : start + width, :] = 0.0
@@ -378,7 +360,7 @@ def augment(x: Tensor, policy: AugmentPolicy, rng_seed) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# exports: the checksummed binary container, spectrograms and greymaps
+# exports: the checksummed binary container and spectrograms
 # ---------------------------------------------------------------------------
 #
 # Checkpoints (`training`) and spectrograms share one container layout:
@@ -471,16 +453,3 @@ def save_spectrogram(s: Spectrogram, path) -> None:
 def load_spectrogram(path) -> Spectrogram:
     header, arrays = read_container(path, _SPEC_MAGIC, _SPEC_VERSION)
     return Spectrogram(params=StftParams(**header["stft_params"]), **arrays["spectrogram"])
-
-
-def write_pgm(matrix: np.ndarray, path) -> None:
-    """Binary P5 greymap, min-max normalized to 0..255. Row 0 is bin 0 (DC)."""
-    m = np.asarray(matrix, dtype=np.float64)
-    lo, hi = m.min(), m.max()
-    if hi - lo < 1e-12:
-        img = np.zeros(m.shape, dtype=np.uint8)
-    else:
-        img = np.round((m - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{m.shape[1]} {m.shape[0]}\n255\n".encode())
-        f.write(img.tobytes())

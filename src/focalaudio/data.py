@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +75,9 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50,
     """Validate a metadata CSV (columns filename, fold, target, category)
     against the audio files under `dataset_root`/audio.
 
-    Raises with a list of offending rows on missing files, duplicate
-    filenames, out-of-range folds or labels.
+    Raises with a list of offending rows, by CSV line number, on missing
+    files, duplicate filenames, non-integer or out-of-range folds or labels;
+    missing columns are reported against the header, line 1.
     """
     root = Path(dataset_root)
     audio_dir = root / "audio" if (root / "audio").is_dir() else root
@@ -87,11 +88,15 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50,
         reader = csv.DictReader(f)
         required = {"filename", "fold", "target", "category"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{meta_csv}: metadata must have columns {sorted(required)}")
+            raise ValueError(f"{meta_csv}: line 1: metadata must have columns {sorted(required)}")
         for i, row in enumerate(reader, start=2):  # header is line 1
             fname = row["filename"]
-            fold = int(row["fold"])
-            target = int(row["target"])
+            try:
+                fold, target = int(row["fold"]), int(row["target"])
+            except (TypeError, ValueError):
+                problems.append(f"line {i}: fold {row['fold']!r} or label {row['target']!r} "
+                                "is not an integer")
+                continue
             if fname in seen:
                 problems.append(f"line {i}: duplicate filename {fname}")
                 continue

@@ -7,17 +7,18 @@ its q-quantile for every requested q (ties kept, so q = 0 retains
 everything, and the retained fraction is close to 1 - q); each binary mask
 multiplies the log-spectrogram ("for_model" mode, what the metrics evaluate)
 or floors masked cells to silence ("for_listening" mode, what gets
-reconstructed into a playable waveform).
+reconstructed into a playable waveform). `listenable_interpretation` runs
+that whole path for one clip and returns the waveform; `audio.save_wav`
+writes it.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Spectrogram, Waveform, istft_reconstruct, preprocess, save_wav, write_pgm
+from .audio import Spectrogram, Waveform, istft_reconstruct, preprocess
 from .focalnet import ModulatorCache
 from .tensor import bilinear_resize_array, no_grad
 
@@ -105,34 +106,3 @@ def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Wave
     [mask] = threshold_mask(mmap, [q], spec.log_mag.shape)
     masked = apply_mask(spec, mask, mode="for_listening")
     return istft_reconstruct(masked.log_mag, masked.phase, masked.params)
-
-
-def export_interpretation(out_dir, stem: str, spec: Spectrogram, mask: InterpretationMask,
-                          predicted_class: int, class_name: str = "",
-                          clip_id: str = "") -> dict:
-    """Write the greymap pair, the reconstructed WAV and a metadata sidecar.
-
-    Returns the metadata record. Files: `<stem>_interp.pgm` (masked
-    spectrogram), `<stem>_mask.pgm`, `<stem>_interp.wav`, `<stem>_meta.json`.
-    """
-    from pathlib import Path
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    masked_model = apply_mask(spec, mask, mode="for_model")
-    masked_listen = apply_mask(spec, mask, mode="for_listening")
-    wav = istft_reconstruct(masked_listen.log_mag, masked_listen.phase, masked_listen.params)
-    write_pgm(masked_model.log_mag, out_dir / f"{stem}_interp.pgm")
-    write_pgm(mask.mask * 255, out_dir / f"{stem}_mask.pgm")
-    save_wav(wav, out_dir / f"{stem}_interp.wav")
-    meta = {
-        "clip_id": clip_id or stem,
-        "predicted_class": int(predicted_class),
-        "predicted_class_name": class_name,
-        "quantile_order": mask.quantile_order,
-        "threshold": mask.threshold,
-        "retained_fraction": mask.retained_fraction,
-    }
-    with open(out_dir / f"{stem}_meta.json", "w") as f:
-        json.dump(meta, f, indent=2, sort_keys=True)
-    return meta

@@ -9,12 +9,14 @@ is `log_mag * (1 - mask)`, and each goes through the identical
 resize/standardize path as the original input.
 
 `evaluate` is the one evaluation path: it returns a record per (clip, q)
-and `quantile_sweep` averages those records per q. It runs two batched
-steps of no_grad forwards, each in chunks of at most 16 inputs: first the
-clips themselves, caching the modulator that gives each clip's map; then
-every clip's 2·|q| interpretation and removal inputs. For n clips that is
-ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch` and
-`training.evaluate_accuracy` use the same chunked forward loop.
+and `quantile_sweep` averages those records per q into a `SweepResult`.
+Neither writes files; serializing results is left to the caller. `evaluate`
+runs two batched steps of no_grad forwards, each in chunks of at most 16
+inputs: first the clips themselves, caching the modulator that gives each
+clip's map; then every clip's 2·|q| interpretation and removal inputs. For
+n clips that is ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch`
+and `training.evaluate_accuracy` use the same chunked forward loop; the
+latter scores with `accuracy`.
 
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
@@ -27,13 +29,10 @@ environmental-sound benchmark's fifth fold.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import tensor as T
 from .audio import to_model_input
@@ -73,37 +72,11 @@ class SweepResult:
 
     entries: list  # of (q, fid_i, fa)
     n_clips: int
-    model_id: str = ""
-    split_id: str = ""
 
     def __post_init__(self):
         qs = [q for q, _, _ in self.entries]
         if any(b <= a for a, b in zip(qs, qs[1:])):
             raise ValueError("q values must be strictly increasing")
-
-    def column(self, name: str) -> list:
-        i = {"q": 0, "fid_i": 1, "fa": 2}[name]
-        return [e[i] for e in self.entries]
-
-    def spearman_q_fa(self) -> float:
-        rho, _ = spearmanr(self.column("q"), self.column("fa"))
-        return float(rho)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["q", "fid_i", "fa", "n_clips", "model_id"])
-            for q, fid, fa in self.entries:
-                w.writerow([f"{q:.10g}", f"{fid:.10g}", f"{fa:.10g}", self.n_clips, self.model_id])
-
-    def to_json(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "split_id": self.split_id,
-            "n_clips": self.n_clips,
-            "entries": [{"q": q, "fid_i": fid, "fa": fa} for q, fid, fa in self.entries],
-            "spearman_q_fa": self.spearman_q_fa() if len(self.entries) > 1 else None,
-        }
 
 
 def accuracy(predictions, labels) -> float:
@@ -187,16 +160,10 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
             for c, cid in enumerate(clip_ids) for i, q in enumerate(qs)]
 
 
-def quantile_sweep(model, clips, q_list, input_size: int, model_id: str = "",
-                   split_id: str = "", clip_ids=None) -> SweepResult:
+def quantile_sweep(model, clips, q_list, input_size: int, clip_ids=None) -> SweepResult:
     """FID-I and FA across quantile orders: per-q means of `evaluate`'s records."""
     records = evaluate(model, clips, q_list, input_size, clip_ids=clip_ids)
     fid = np.array([r.agrees for r in records], dtype=np.float64).reshape(len(clips), -1).mean(0)
     fa = np.array([r.fa for r in records]).reshape(len(clips), -1).mean(0)
     entries = [(r.q, float(f), float(d)) for r, f, d in zip(records[:fid.size], fid, fa)]
-    return SweepResult(entries=entries, n_clips=len(clips), model_id=model_id, split_id=split_id)
-
-
-def write_eval_summary(path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+    return SweepResult(entries=entries, n_clips=len(clips))

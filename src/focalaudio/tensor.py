@@ -56,10 +56,6 @@ class no_grad:
         return False
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """N-dimensional real array plus the tape node that produced it.
 
@@ -101,12 +97,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, op={self._op})"
@@ -151,15 +141,6 @@ class Tensor:
 
     def transpose(self, axes):
         return transpose(self, axes)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
 
 def _as_tensor(x, dtype=None) -> Tensor:

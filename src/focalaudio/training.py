@@ -31,10 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import (AugmentPolicy, ContainerError, FrontendConfig, augment, read_container,
-                    write_container)
+from .audio import ContainerError, FrontendConfig, augment, read_container, write_container
 from .focalnet import FocalNet, FocalNetConfig, _l2_normalize
-from .metrics import batched_logits
+from .metrics import accuracy, batched_logits
 from .tensor import NumericalError, Tensor, backward
 
 
@@ -146,8 +145,9 @@ class AdamState:
 
 
 def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0.0,
-                   clip_norm: float | None = None, betas=(0.9, 0.999), eps: float = 1e-8) -> float:
-    """Global-norm clipping, then Adam with decoupled weight decay.
+                   clip_norm: float | None = None) -> float:
+    """Global-norm clipping, then Adam (betas 0.9 and 0.999, eps 1e-8) with
+    decoupled weight decay.
 
     Returns the pre-clip global gradient norm. Missing gradients count as
     zero; a non-finite gradient aborts naming the parameter path.
@@ -165,7 +165,7 @@ def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: floa
         factor = clip_norm / gnorm
         grads = {k: g * g.dtype.type(factor) for k, g in grads.items()}
     state.t += 1
-    b1, b2 = betas
+    b1, b2, eps = 0.9, 0.999, 1e-8
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -213,8 +213,9 @@ class Checkpoint:
     frontend: FrontendConfig
     history: list
 
-    def build_model(self, dtype=np.float32) -> FocalNet:
-        model = FocalNet(self.model_config, seed=0, dtype=dtype)
+    def build_model(self) -> FocalNet:
+        """A float32 model holding the stored parameters."""
+        model = FocalNet(self.model_config, seed=0)
         named = dict(model.named_parameters())
         missing = set(named) ^ set(self.params)
         if missing:
@@ -223,7 +224,7 @@ class Checkpoint:
             stored = self.params[name]
             if stored.shape != p.data.shape:
                 raise CheckpointError(f"shape mismatch for {name}")
-            p.data = stored.astype(dtype, copy=True)
+            p.data = stored.astype(np.float32, copy=True)
         return model
 
     def model_id(self) -> str:
@@ -264,13 +265,12 @@ def _clip_seed(seed: int, epoch: int, clip_id: str) -> list:
 
 def evaluate_accuracy(model: FocalNet, data: ClipSet, batch_size: int = 16) -> float:
     logits, _ = batched_logits(model, data.inputs, batch_size)
-    return float((np.argmax(logits, axis=-1) == data.labels).mean())
+    return accuracy(np.argmax(logits, axis=-1), data.labels)
 
 
 def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         frontend: FrontendConfig | None = None, run_dir=None,
-        start_epoch: int = 0, optimizer_state: AdamState | None = None,
-        policy: AugmentPolicy | None = None) -> FitResult:
+        start_epoch: int = 0, optimizer_state: AdamState | None = None) -> FitResult:
     """Epoch loop with augmentation (training only), per-epoch validation
     accuracy and best-on-validation checkpointing. Deterministic given the
     config seed; supports resuming via `start_epoch` + `optimizer_state`.
@@ -281,7 +281,6 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     over `step_s`), which are not.
     """
     frontend = frontend or FrontendConfig(input_size=train.inputs.shape[-1])
-    policy = policy or AugmentPolicy(probability=config.augment_prob)
     params = dict(model.named_parameters())
     state = optimizer_state or AdamState()
     history: list = []
@@ -302,7 +301,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
             for lo in range(0, len(order), config.batch_size):
                 idx = order[lo : lo + config.batch_size]
                 xb = np.stack([
-                    augment(Tensor(train.inputs[i]), policy,
+                    augment(Tensor(train.inputs[i]), config.augment_prob,
                             _clip_seed(config.seed, epoch, train.clip_ids[i])).data
                     for i in idx
                 ])

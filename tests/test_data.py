@@ -1,0 +1,101 @@
+"""Dataset tests: metadata validation names every offending CSV line, the
+manifest survives a save/load round trip, and the synthetic set puts every
+class in every fold."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from focalaudio import data
+from focalaudio.audio import Waveform, save_wav
+
+HEADER = ["filename", "fold", "target", "category"]
+
+
+def write_meta(root, rows, header=HEADER, audio=()):
+    (root / "audio").mkdir(exist_ok=True)
+    for name in audio:
+        save_wav(Waveform(np.zeros(160, dtype=np.float32), 16000), root / "audio" / name)
+    meta = root / "meta.csv"
+    with open(meta, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
+    return meta
+
+
+class TestIngest:
+    def test_valid_rows_become_records(self, tmp_path):
+        meta = write_meta(tmp_path, [("a.wav", 1, 0, "dog"), ("b.wav", 5, 3, "cat")],
+                          audio=("a.wav", "b.wav"))
+        manifest = data.ingest(tmp_path, meta, num_classes=4)
+        assert [(r.clip_id, r.fold, r.label, r.label_name) for r in manifest.records] == [
+            ("a", 1, 0, "dog"), ("b", 5, 3, "cat")]
+        assert manifest.records[0].path == str(tmp_path / "audio" / "a.wav")
+
+    def test_every_bad_row_reported_with_its_line(self, tmp_path):
+        rows = [("ok.wav", 1, 0, "dog"),        # line 2
+                ("fold.wav", 7, 0, "dog"),      # line 3
+                ("label.wav", 2, 4, "dog"),     # line 4
+                ("gone.wav", 3, 1, "cat"),      # line 5
+                ("ok.wav", 4, 0, "dog"),        # line 6
+                ("text.wav", "x", 1, "cat")]    # line 7
+        meta = write_meta(tmp_path, rows, audio=("ok.wav", "fold.wav", "label.wav", "text.wav"))
+        with pytest.raises(ValueError) as err:
+            data.ingest(tmp_path, meta, num_classes=4)
+        lines = str(err.value).splitlines()[1:]
+        assert [s.strip() for s in lines] == [
+            "line 3: fold 7 outside 1..5",
+            "line 4: label 4 outside [0, 3]",
+            f"line 5: missing audio file {tmp_path / 'audio' / 'gone.wav'}",
+            "line 6: duplicate filename ok.wav",
+            "line 7: fold 'x' or label '1' is not an integer",
+        ]
+
+    def test_missing_columns_reported_on_header_line(self, tmp_path):
+        meta = write_meta(tmp_path, [("a.wav", 1, 0)], header=["filename", "fold", "target"],
+                          audio=("a.wav",))
+        with pytest.raises(ValueError, match=r"meta.csv: line 1: .*'category'"):
+            data.ingest(tmp_path, meta, num_classes=4)
+
+    def test_no_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no clips"):
+            data.ingest(tmp_path, write_meta(tmp_path, []), num_classes=4)
+
+
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    root = tmp_path_factory.mktemp("synth")
+    return root, data.generate_synthetic_dataset(root, clips_per_class=5, seconds=0.1,
+                                                 sample_rate=8000, seed=0)
+
+
+class TestManifest:
+    def test_save_load_round_trip(self, synthetic, tmp_path):
+        _, manifest = synthetic
+        manifest.save(tmp_path / "m.json")
+        back = data.DatasetManifest.load(tmp_path / "m.json")
+        assert back == manifest
+        assert back.sample_rate_hint == 8000 and back.num_classes == 4
+
+    def test_written_manifest_matches_returned(self, synthetic):
+        root, manifest = synthetic
+        assert data.DatasetManifest.load(root / "manifest.json") == manifest
+
+    def test_round_robin_folds_hold_every_class(self, synthetic):
+        _, manifest = synthetic
+        for fold in range(1, 6):
+            labels = sorted(r.label for r in manifest.records if r.fold == fold)
+            assert labels == [0, 1, 2, 3], fold
+
+    def test_splits_partition_the_folds(self, synthetic):
+        _, manifest = synthetic
+        sizes = {name: len(manifest.split(name)) for name in ("train", "val", "test")}
+        assert sizes == {"train": 12, "val": 4, "test": 4}
+        assert {r.fold for r in manifest.split("val")} == {data.VAL_FOLD}
+
+    def test_unknown_split_rejected(self, synthetic):
+        _, manifest = synthetic
+        with pytest.raises(ValueError, match="unknown split 'dev'"):
+            manifest.split("dev")

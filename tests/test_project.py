@@ -1,19 +1,21 @@
-"""Packaging metadata points at code that exists, and the benchmark's tracer
-still finds every name it wraps."""
+"""Packaging metadata points at code that exists, the benchmark's tracer
+still finds every name it wraps, and the package carries no dead code: every
+definition is named somewhere beyond its own `def`, every import is used."""
 
+import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_declared_script_targets_import():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -48,3 +50,50 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     after = _package_bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+# -- dead code --------------------------------------------------------------
+
+SOURCE_DIRS = ("src", "tests", "perfbench")
+PACKAGE = ROOT / "src" / "focalaudio"
+
+
+def _defined_names(tree: ast.Module) -> set:
+    """Module-level functions and classes, and the methods of those classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {n.name for n in node.body
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def test_every_package_definition_is_named_elsewhere():
+    # A function, class or method whose name appears nowhere but in its own
+    # `def`/`class` lines has no caller, no test and no benchmark use.
+    text = "\n".join(p.read_text() for d in SOURCE_DIRS for p in sorted((ROOT / d).rglob("*.py")))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in sorted(_defined_names(ast.parse(path.read_text()))):
+            uses = len(re.findall(rf"\b{name}\b", text))
+            defs = len(re.findall(rf"\b(?:def|class)\s+{name}\b", text))
+            if uses <= defs:
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"defined but never named elsewhere: {unused}"
+
+
+def test_every_package_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.stem}: {name}" for name in sorted(imported - used)]
+    assert not unused, f"imported but unused: {unused}"

@@ -1,7 +1,8 @@
 """Training-loop tests: the step log, the gradient-sharing contract of the
 tape (first gradients are stored without a copy, so `.grad` arrays are
 read-only and may be views of one another, but never of parameter data), and
-the checkpoint container."""
+the checkpoint container, plus the optimizer against Adam written out by
+hand, the learning-rate schedule and validation accuracy."""
 
 import hashlib
 import json
@@ -14,7 +15,7 @@ import pytest
 from focalaudio import training
 from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import FocalNet, FocalNetConfig
-from focalaudio.tensor import Tensor, backward, no_grad
+from focalaudio.tensor import NumericalError, Tensor, backward, no_grad
 
 # fit log of the tiny model below, recorded before the kernel gradient was
 # reduced per tap; float32 sums in another order move the loss by ~1e-7
@@ -198,3 +199,86 @@ class TestCheckpoint:
         ckpt.params["head.weight"] = ckpt.params["head.weight"][:, :-1]
         with pytest.raises(training.CheckpointError, match="shape mismatch for head.weight"):
             ckpt.build_model()
+
+
+def adam_by_hand(values: dict, steps: list, lrs: list, weight_decay: float, clip: float):
+    """Adam written out in float64: global-norm clip, bias-corrected
+    moments, decoupled weight decay; a missing gradient is zero."""
+    p = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in p.items()}
+    v2 = {k: np.zeros_like(v) for k, v in p.items()}
+    norms = []
+    for t, (grads, lr) in enumerate(zip(steps, lrs), start=1):
+        g = {k: grads.get(k, np.zeros_like(p[k])) for k in p}
+        norm = math.sqrt(sum(float((x**2).sum()) for x in g.values()))
+        norms.append(norm)
+        factor = clip / norm if norm > clip else 1.0
+        for k in p:
+            gk = g[k] * factor
+            m[k] = 0.9 * m[k] + 0.1 * gk
+            v2[k] = 0.999 * v2[k] + 0.001 * gk * gk
+            mhat = m[k] / (1 - 0.9**t)
+            vhat = v2[k] / (1 - 0.999**t)
+            p[k] = p[k] - lr * (mhat / (np.sqrt(vhat) + 1e-8) + weight_decay * p[k])
+    return p, m, v2, norms
+
+
+class TestOptimizerStep:
+    def test_two_steps_match_adam_by_hand(self):
+        rng = np.random.default_rng(11)
+        values = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
+        # step 1 is clipped (norm ~ 4.5 > 2); step 2 is not and has no grad for "b"
+        steps = [{"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)},
+                 {"a": 0.1 * rng.standard_normal((3, 4))}]
+        lrs = [1e-2, 3e-2]
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
+        state = training.AdamState()
+        norms = []
+        for grads, lr in zip(steps, lrs):
+            for k, p in params.items():
+                p.grad = grads.get(k)
+            norms.append(training.optimizer_step(params, state, lr, weight_decay=0.05,
+                                                 clip_norm=2.0))
+        want, m, v, want_norms = adam_by_hand(values, steps, lrs, 0.05, 2.0)
+        assert want_norms[0] > 2.0 > want_norms[1]
+        np.testing.assert_allclose(norms, want_norms, rtol=1e-12)
+        assert state.t == 2
+        for k in values:
+            assert params[k].data.dtype == np.float64
+            np.testing.assert_allclose(params[k].data, want[k], rtol=1e-12, atol=1e-15, err_msg=k)
+            np.testing.assert_allclose(state.m[k], m[k], rtol=1e-12, atol=1e-15, err_msg=k)
+            np.testing.assert_allclose(state.v[k], v[k], rtol=1e-12, atol=1e-15, err_msg=k)
+
+    def test_non_finite_gradient_names_parameter(self):
+        params = {"stages.0.w": Tensor(np.ones(3), requires_grad=True)}
+        params["stages.0.w"].grad = np.array([0.0, np.inf, 1.0])
+        with pytest.raises(NumericalError, match="stages.0.w"):
+            training.optimizer_step(params, training.AdamState(), 1e-3)
+
+
+class TestCyclicLr:
+    def test_triangle_corners(self):
+        lr = lambda step: training.cyclic_lr(step, 1e-5, 3e-3, 200)  # noqa: E731
+        assert lr(0) == lr(400) == 1e-5
+        assert lr(200) == lr(600) == 3e-3
+        assert math.isclose(lr(100), (1e-5 + 3e-3) / 2, rel_tol=1e-12)
+        assert lr(150) == lr(250)
+
+    def test_negative_step_rejected(self):
+        with pytest.raises(ValueError, match="step"):
+            training.cyclic_lr(-1, 1e-5, 3e-3, 200)
+
+
+class TestEvaluateAccuracy:
+    def test_matches_argmax_of_logits(self, fitted):
+        net, _ = fitted
+        _, val = tiny_fit_data()
+        with no_grad():
+            want = np.mean(np.argmax(net(Tensor(val.inputs))[0].data, axis=-1) == val.labels)
+        assert training.evaluate_accuracy(net, val, batch_size=3) == want
+
+    def test_empty_set_raises(self, fitted):
+        net, _ = fitted
+        empty = training.ClipSet(np.zeros((0, 3, 32, 32), np.float32), np.zeros(0, np.int64), [])
+        with pytest.raises(ValueError, match="empty"):
+            training.evaluate_accuracy(net, empty)
