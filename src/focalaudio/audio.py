@@ -17,20 +17,23 @@ len(samples) // hop``. With the defaults (16 kHz, n_fft 1024, 23 ms window,
 A literal 11 ms hop (176 samples) would give 455 frames and contradict the
 published spectrogram size, so the default hop is the one that reproduces
 it; both are accepted as parameters.
+
+Bilinear resizing (the input shrink here, the mask upsampling in
+`interpret`) uses align-corners sampling: output corner pixels map onto
+input corner pixels, and a singleton output axis samples coordinate 0.
+
+Everything here works on plain numpy arrays: a model input is an
+``np.ndarray`` [3, S, S], and only the model wraps it for the autograd tape.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import resample_poly
-
-from .tensor import Tensor, bilinear_resize_array
 
 LOG_EPS = 1e-10
 
@@ -66,7 +69,6 @@ class StftParams:
     n_fft: int
     win_length: int
     hop_length: int
-    window: str
     eps: float
     sample_rate: int
     num_samples: int
@@ -138,7 +140,7 @@ def load_wav(path) -> Waveform:
         if cid == b"fmt ":
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short at byte {pos}")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = (pos, struct.unpack("<HHIIHH", body[:16]))
         elif cid == b"data":
             data = (pos + 8, body)
         pos += 8 + size + (size & 1)  # chunks are word-aligned
@@ -147,17 +149,24 @@ def load_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: no fmt chunk found")
     if data is None:
         raise WavFormatError(f"{path}: no data chunk found")
-    audio_format, channels, rate, _, _, bits = fmt
+    fmt_pos, (audio_format, channels, rate, _, _, bits) = fmt
     offset, payload = data
 
-    if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    else:
+    if rate == 0:
+        raise WavFormatError(f"{path}: sample rate 0 in fmt chunk at byte {fmt_pos}")
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise WavFormatError(
             f"{path}: unsupported codec (format {audio_format}, {bits}-bit) at byte {offset}"
         )
+    if len(payload) % (bits // 8):
+        raise WavFormatError(
+            f"{path}: data chunk of {len(payload)} bytes is not a whole number of "
+            f"{bits}-bit samples at byte {offset}"
+        )
+    if bits == 16:
+        raw = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
+    else:
+        raw = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     if channels > 1:
         usable = (raw.size // channels) * channels
         raw = raw[:usable].reshape(-1, channels).mean(axis=1)
@@ -247,8 +256,8 @@ def stft(w: Waveform, n_fft: int = 1024, win_ms: float = 23.0,
             f"clip of {w.samples.size} samples is shorter than one window ({win_length})"
         )
     params = StftParams(
-        n_fft=n_fft, win_length=win_length, hop_length=hop_length, window="hann",
-        eps=eps, sample_rate=w.sample_rate, num_samples=int(w.samples.size),
+        n_fft=n_fft, win_length=win_length, hop_length=hop_length, eps=eps,
+        sample_rate=w.sample_rate, num_samples=int(w.samples.size),
     )
     window = _padded_window(win_length, n_fft)
     half = n_fft // 2
@@ -301,11 +310,46 @@ def istft_reconstruct(log_mag: np.ndarray, phase: np.ndarray, params: StftParams
 
 
 # ---------------------------------------------------------------------------
+# bilinear resizing (align-corners, see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _interp_coeffs(in_len: int, out_len: int, dtype):
+    """Align-corners source indices and blend weights for one axis."""
+    if out_len < 1:
+        raise ValueError("bilinear_resize_array: output size must be >= 1")
+    if in_len == 1 or out_len == 1:
+        pos = np.zeros(out_len, dtype=np.float64)
+    else:
+        pos = np.arange(out_len, dtype=np.float64) * (in_len - 1) / (out_len - 1)
+    i0 = np.minimum(pos.astype(np.int64), max(in_len - 2, 0))
+    i1 = np.minimum(i0 + 1, in_len - 1)
+    w = (pos - i0).astype(dtype)
+    return i0, i1, w
+
+
+def _resize_axis(data: np.ndarray, out_len: int, axis: int) -> np.ndarray:
+    i0, i1, w = _interp_coeffs(data.shape[axis], out_len, data.dtype)
+    shape = [1] * data.ndim
+    shape[axis] = out_len
+    w = w.reshape(shape)
+    a = np.take(data, i0, axis=axis)
+    b = np.take(data, i1, axis=axis)
+    # a + (b - a) * w is exact for equal endpoints (constant images resize exactly)
+    return a + (b - a) * w
+
+
+def bilinear_resize_array(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize of the two trailing axes (align-corners)."""
+    return _resize_axis(_resize_axis(data, out_h, data.ndim - 2), out_w, data.ndim - 1)
+
+
+# ---------------------------------------------------------------------------
 # model input packing and augmentation
 # ---------------------------------------------------------------------------
 
-def to_model_input(s: Spectrogram, out: int = 224) -> Tensor:
-    """Shrink to out x out, standardize per input, stack 3 identical channels."""
+def to_model_input(s: Spectrogram, out: int = 224) -> np.ndarray:
+    """Shrink to out x out, standardize per input, stack 3 identical channels
+    into a [3, out, out] float32 array."""
     resized = bilinear_resize_array(s.log_mag.astype(np.float32), out, out)
     mu = resized.mean()
     sd = resized.std()
@@ -313,10 +357,10 @@ def to_model_input(s: Spectrogram, out: int = 224) -> Tensor:
         normed = np.zeros_like(resized)
     else:
         normed = (resized - mu) / sd
-    return Tensor(np.stack([normed, normed, normed]))
+    return np.stack([normed, normed, normed])
 
 
-def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, Tensor]:
+def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarray]:
     """Full clip-to-input path: resample, STFT, pack."""
     if w.sample_rate != cfg.sample_rate:
         w = resample(w, cfg.sample_rate)
@@ -328,8 +372,9 @@ AUGMENT_MAX_REGIONS = 3
 AUGMENT_MAX_FRACTION = 0.15
 
 
-def augment(x: Tensor, probability: float, rng_seed) -> Tensor:
-    """Zero out random frequency bands and/or time chunks of a model input.
+def augment(x: np.ndarray, probability: float, rng_seed) -> np.ndarray:
+    """Zero out random frequency bands and/or time chunks of a model input;
+    returns a new array, `x` is left as it is.
 
     Deterministic given the seed. With probability `probability` one of
     {frequency drop, time drop, both} is applied; each drop zeroes 1 to
@@ -337,9 +382,9 @@ def augment(x: Tensor, probability: float, rng_seed) -> Tensor:
     `AUGMENT_MAX_FRACTION` (0.15) of the axis.
     """
     rng = np.random.default_rng(rng_seed)
+    data = x.copy()
     if rng.random() >= probability:
-        return Tensor(x.data.copy())
-    data = x.data.copy()
+        return data
     n_freq, n_time = data.shape[-2], data.shape[-1]
     mode = int(rng.integers(3))  # 0: freq, 1: time, 2: both
 
@@ -356,100 +401,4 @@ def augment(x: Tensor, probability: float, rng_seed) -> Tensor:
         drop(n_freq, -2)
     if mode in (1, 2):
         drop(n_time, -1)
-    return Tensor(data)
-
-
-# ---------------------------------------------------------------------------
-# exports: the checksummed binary container and spectrograms
-# ---------------------------------------------------------------------------
-#
-# Checkpoints (`training`) and spectrograms share one container layout:
-#
-#     magic (8 bytes) | <IQ version, header length | JSON header | payload
-#     | SHA-256 of everything before it (32 bytes)
-#
-# The header is sorted-key JSON. Its `arrays` entry indexes the payload: one
-# {kind, name, dtype, shape, offset, nbytes} record per little-endian array
-# (float64 stays "<f8", everything else is stored as "<f4"), written kind by
-# kind in the caller's order and by sorted name within a kind.
-
-
-class ContainerError(ValueError):
-    """Unreadable container file: the message names the path and the check
-    that failed (magic, length, checksum, version or header). `training`
-    also raises it, as `CheckpointError`, when a loaded checkpoint does not
-    fit its model; that message names the parameter instead."""
-
-
-def write_container(path, magic: bytes, version: int, header: dict, arrays: dict) -> None:
-    """Write `header` plus `arrays` ({kind: {name: ndarray}}) as a container."""
-    index = []
-    raws = []
-    offset = 0
-    for kind, named in arrays.items():
-        for name in sorted(named):
-            arr = named[name]
-            dt = "<f8" if arr.dtype == np.float64 else "<f4"
-            raw = np.ascontiguousarray(arr, dtype=dt)
-            index.append({"kind": kind, "name": name, "dtype": dt,
-                          "shape": list(arr.shape), "offset": offset, "nbytes": raw.nbytes})
-            raws.append(raw)
-            offset += raw.nbytes
-    head = json.dumps({**header, "arrays": index}, sort_keys=True).encode()
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for part in (magic + struct.pack("<IQ", version, len(head)) + head, *raws):
-            digest.update(part)
-            f.write(part)
-        f.write(digest.digest())
-
-
-def read_container(path, magic: bytes, version: int) -> tuple[dict, dict]:
-    """Read a container written by `write_container` with the same magic and
-    version; returns the header (without the index) and {kind: {name: ndarray}}.
-
-    Magic, length, checksum and version are checked, in that order, before
-    the header is parsed (a file shorter than the magic is reported as
-    truncated); any failure raises `ContainerError`.
-    """
-    with open(path, "rb") as f:
-        blob = memoryview(f.read())
-    prefix = len(magic) + 12
-    if len(blob) < len(magic):
-        raise ContainerError(f"{path}: truncated, {len(blob)} bytes")
-    if blob[: len(magic)] != magic:
-        raise ContainerError(f"{path}: magic mismatch, not a {magic.decode()} container")
-    if len(blob) < prefix + 32:
-        raise ContainerError(f"{path}: truncated, {len(blob)} bytes")
-    body = blob[:-32]
-    if hashlib.sha256(body).digest() != blob[-32:]:
-        raise ContainerError(f"{path}: checksum mismatch, refusing to load")
-    found, hlen = struct.unpack("<IQ", body[len(magic) : prefix])
-    if found != version:
-        raise ContainerError(f"{path}: unsupported version {found}, expected {version}")
-    payload = body[prefix + hlen :]
-    arrays: dict = {}
-    try:  # a checksummed file can still come from another writer
-        header = json.loads(bytes(body[prefix : prefix + hlen]))
-        for a in header.pop("arrays"):
-            raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
-            arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
-            arrays.setdefault(a["kind"], {})[a["name"]] = arr
-    except (ValueError, KeyError, TypeError) as e:
-        raise ContainerError(f"{path}: malformed header: {e}") from None
-    return header, arrays
-
-
-_SPEC_MAGIC = b"FOCALSPG"
-_SPEC_VERSION = 2
-
-
-def save_spectrogram(s: Spectrogram, path) -> None:
-    """Log magnitude and phase plus the STFT parameters, as a container."""
-    write_container(path, _SPEC_MAGIC, _SPEC_VERSION, {"stft_params": asdict(s.params)},
-                    {"spectrogram": {"log_mag": s.log_mag, "phase": s.phase}})
-
-
-def load_spectrogram(path) -> Spectrogram:
-    header, arrays = read_container(path, _SPEC_MAGIC, _SPEC_VERSION)
-    return Spectrogram(params=StftParams(**header["stft_params"]), **arrays["spectrogram"])
+    return data

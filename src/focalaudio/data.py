@@ -36,10 +36,25 @@ class ClipRecord:
 
 
 @dataclass
+class ClipSet:
+    """Preprocessed model inputs ready for training or evaluation."""
+
+    inputs: np.ndarray  # [N, 3, S, S] float32
+    labels: np.ndarray  # [N] int64
+    clip_ids: list
+
+    def __post_init__(self):
+        if len(self.inputs) != len(self.labels) or len(self.labels) != len(self.clip_ids):
+            raise ValueError("inputs, labels and clip_ids must align")
+
+    def __len__(self):
+        return len(self.labels)
+
+
+@dataclass
 class DatasetManifest:
     records: list
     num_classes: int
-    sample_rate_hint: int | None = None
 
     def split(self, name: str) -> list:
         if name == "train":
@@ -53,7 +68,6 @@ class DatasetManifest:
     def save(self, path) -> None:
         payload = {
             "num_classes": self.num_classes,
-            "sample_rate_hint": self.sample_rate_hint,
             "records": [asdict(r) for r in self.records],
         }
         with open(path, "w") as f:
@@ -66,12 +80,10 @@ class DatasetManifest:
         return cls(
             records=[ClipRecord(**r) for r in payload["records"]],
             num_classes=payload["num_classes"],
-            sample_rate_hint=payload.get("sample_rate_hint"),
         )
 
 
-def ingest(dataset_root, meta_csv, num_classes: int = 50,
-           sample_rate_hint: int | None = None) -> DatasetManifest:
+def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
     """Validate a metadata CSV (columns filename, fold, target, category)
     against the audio files under `dataset_root`/audio.
 
@@ -116,8 +128,7 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50,
         raise ValueError("manifest validation failed:\n  " + "\n  ".join(problems))
     if not records:
         raise ValueError(f"{meta_csv}: no clips found")
-    return DatasetManifest(records=records, num_classes=num_classes,
-                           sample_rate_hint=sample_rate_hint)
+    return DatasetManifest(records=records, num_classes=num_classes)
 
 
 def _synth_clip(label_name: str, rng: np.random.Generator, seconds: float,
@@ -165,8 +176,7 @@ def generate_synthetic_dataset(out_root, clips_per_class: int = 100, seconds: fl
         w = csv.writer(f)
         w.writerow(["filename", "fold", "target", "category"])
         w.writerows(rows)
-    manifest = ingest(out_root, meta, num_classes=len(SYNTH_CLASSES),
-                      sample_rate_hint=sample_rate)
+    manifest = ingest(out_root, meta, num_classes=len(SYNTH_CLASSES))
     manifest.save(out_root / "manifest.json")
     return manifest
 
@@ -178,13 +188,11 @@ def load_split(manifest: DatasetManifest, split_name: str, frontend: FrontendCon
     Returns (clip_set, spectrograms); spectrograms is None unless requested
     (the interpretation metrics need them, plain training does not).
     """
-    from .training import ClipSet
-
     records = manifest.split(split_name)
     inputs, labels, ids, specs = [], [], [], []
     for r in records:
         spec, x = preprocess(load_wav(r.path), frontend)
-        inputs.append(x.data)
+        inputs.append(x)
         labels.append(r.label)
         ids.append(r.clip_id)
         if with_spectrograms:

@@ -15,8 +15,10 @@ The modulator of the last block of the last stage is cached on request; its
 channel-wise L2 norm is the saliency map the interpretation pipeline uses.
 
 Feature maps are channel-first batches [B, C, H, W]; channel projections
-are applied along the channel axis at every location. Only the model entry
-takes a single [3, H, W] input too, as a batch of one.
+are applied along the channel axis at every location. The model entry is
+where plain arrays meet the autograd tape: it takes a numpy array (or a
+`Tensor`, when a gradient must reach the input), and a single [3, H, W]
+input too, as a batch of one.
 """
 
 from __future__ import annotations
@@ -115,8 +117,6 @@ class ModulatorCache:
     of a batch (a single input is a batch of one)."""
 
     modulator: np.ndarray  # [B, C, h, w]
-    stage_index: int
-    block_index: int
     input_hw: tuple  # spatial size the model was fed, before padding
     total_stride: int
 
@@ -193,14 +193,10 @@ class FocalLayer(Module):
             blended = term if blended is None else blended + term
         return channel_linear(blended, self.out_proj)
 
-    def focal_modulation(self, x: Tensor) -> tuple:
+    def forward(self, x: Tensor) -> tuple:
         """Returns (modulated output, modulator)."""
         modulator = self.gated_aggregate(x, self.hierarchical_contextualize(x))
-        y = channel_linear(x, self.query) * modulator
-        return y, modulator
-
-    def forward(self, x: Tensor) -> tuple:
-        return self.focal_modulation(x)
+        return channel_linear(x, self.query) * modulator, modulator
 
 
 class Mlp(Module):
@@ -301,10 +297,14 @@ class FocalNet(Module):
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def forward_features(self, x: Tensor, cache_modulator: bool = False):
+    def forward_features(self, x, cache_modulator: bool = False):
         """Backbone up to pooled features [B, C]; returns (features, cache).
-        The one place that takes a single input [3, H, W], as a batch of one
-        (through `T.reshape`, so a gradient still reaches it)."""
+
+        `x` is a plain array, wrapped here once with its dtype kept, or a
+        `Tensor`. A single input [3, H, W] is a batch of one (through
+        `T.reshape`, so a gradient still reaches a `Tensor` input)."""
+        if not isinstance(x, Tensor):
+            x = Tensor(x)
         if x.ndim == 3:
             x = T.reshape(x, (1, *x.shape))
         if x.ndim != 4 or x.shape[1] != self.IN_CHANNELS:
@@ -329,8 +329,6 @@ class FocalNet(Module):
         if cache_modulator:
             cache = ModulatorCache(
                 modulator=np.array(modulator.data, copy=True),
-                stage_index=last_stage,
-                block_index=len(self.stages[last_stage].blocks) - 1,
                 input_hw=input_hw,
                 total_stride=self.total_stride,
             )
@@ -342,17 +340,17 @@ class FocalNet(Module):
         wn = _l2_normalize(self.head.weight)
         return T.linear(fn, wn) * self.dtype(self.config.logit_scale)
 
-    def forward(self, x: Tensor, cache_modulator: bool = False):
+    def forward(self, x, cache_modulator: bool = False):
         feats, cache = self.forward_features(x, cache_modulator=cache_modulator)
         return self.logits_from_features(feats), cache
 
-    def predict_proba(self, x: Tensor) -> np.ndarray:
+    def predict_proba(self, x) -> np.ndarray:
         """Class probabilities [B, K]."""
         with T.no_grad():
             logits, _ = self.forward(x)
-            return T.softmax(logits, axis=-1).data
+            return T.softmax(logits).data
 
 
-def _l2_normalize(t: Tensor, eps: float = 1e-12) -> Tensor:
-    n = T.sqrt((t * t).sum(axis=-1, keepdims=True) + eps)
+def _l2_normalize(t: Tensor) -> Tensor:
+    n = T.sqrt((t * t).sum(axis=-1, keepdims=True) + 1e-12)
     return t / n

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Spectrogram, Waveform, istft_reconstruct, preprocess
+from .audio import Spectrogram, Waveform, bilinear_resize_array, istft_reconstruct, preprocess
 from .focalnet import ModulatorCache
-from .tensor import bilinear_resize_array, no_grad
+from .tensor import no_grad
 
 
 @dataclass

@@ -38,8 +38,6 @@ from . import tensor as T
 from .audio import to_model_input
 from .interpret import apply_mask, modulation_map, threshold_mask
 
-REFERENCE_FULL_SCALE = {"acc": 0.774, "fid_i": 0.305, "fa": 0.0111, "q": 0.9}
-
 
 @dataclass
 class EvalRecord:
@@ -101,7 +99,7 @@ def batched_logits(model, inputs, batch_size: int = 16, cache_modulator: bool = 
     inputs = iter(inputs)
     while chunk := list(islice(inputs, batch_size)):
         with T.no_grad():
-            out, cache = model.forward(T.Tensor(np.stack(chunk)), cache_modulator=cache_modulator)
+            out, cache = model.forward(np.stack(chunk), cache_modulator=cache_modulator)
         logits.append(out.data)
         if cache_modulator:
             maps += modulation_map(cache)
@@ -111,12 +109,12 @@ def batched_logits(model, inputs, batch_size: int = 16, cache_modulator: bool = 
 
 
 def _probs(logits: np.ndarray) -> np.ndarray:
-    return T.softmax(T.Tensor(logits), axis=-1).data
+    return T.softmax(logits).data
 
 
 def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.ndarray:
     """Argmax class per clip, batched."""
-    logits, _ = batched_logits(model, (to_model_input(s, out=input_size).data for s in clips),
+    logits, _ = batched_logits(model, (to_model_input(s, out=input_size) for s in clips),
                                batch_size)
     return np.argmax(logits, axis=-1).astype(np.int64)
 
@@ -138,7 +136,7 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
     if len(clip_ids) != len(clips):
         raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
     logits, maps = batched_logits(
-        model, (to_model_input(s, out=input_size).data for s in clips), cache_modulator=True)
+        model, (to_model_input(s, out=input_size) for s in clips), cache_modulator=True)
     probs = _probs(logits)
     preds = np.argmax(probs, axis=-1)
 
@@ -148,8 +146,8 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
             for mask in threshold_mask(mmap, qs, spec.log_mag.shape):
                 interp = apply_mask(spec, mask, mode="for_model")
                 removal = spec.copy_with((spec.log_mag * (1 - mask.mask)).astype(np.float32))
-                yield to_model_input(interp, out=input_size).data
-                yield to_model_input(removal, out=input_size).data
+                yield to_model_input(interp, out=input_size)
+                yield to_model_input(removal, out=input_size)
 
     masked, _ = batched_logits(model, masked_inputs())
     masked = _probs(masked).reshape(len(clips), len(qs), 2, -1)

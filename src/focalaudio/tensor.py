@@ -1,4 +1,4 @@
-"""Dense tensors with reverse-mode automatic differentiation.
+"""Dense tensors with reverse-mode automatic differentiation, and nothing else.
 
 A small numpy-backed engine providing exactly the operators the focal
 modulation classifier and its loss need: linear maps, depth-wise 2-d
@@ -6,18 +6,19 @@ convolution, GeLU, layer normalization, global average pooling and softmax,
 plus the elementwise, reduction, indexing, reshaping and padding ops between
 them, each with a hand-written backward rule. Gradients are recorded on a
 tape of nodes ordered by creation, so `backward` is a single reverse sweep.
-Bilinear resizing, which only the frontend and the masks use, is the
-plain-array `bilinear_resize_array` and has no gradient.
+Around the tape sit the parameter containers and the finite-difference
+oracle that checks the backward rules. Signal processing without gradients
+(the frontend, the masks) works on plain arrays in `audio` and `interpret`.
 
-Conventions fixed here and used everywhere else in the package:
+Conventions fixed here:
 
 * default dtype is float32; float64 is available for gradient-check oracles
   (pass ``dtype=np.float64`` to the factories or feed float64 arrays),
 * GeLU is the exact erf form, not the tanh approximation,
-* bilinear resizing uses align-corners sampling (output corner pixels map
-  onto input corner pixels; a singleton output axis samples coordinate 0),
 * depth-wise convolution is a stride-1 cross-correlation with zero
-  same-padding.
+  same-padding,
+* parameters are initialized from a normal distribution with standard
+  deviation 0.02, truncated at two standard deviations.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_INIT_STD = 0.02
 
 _seq_counter = itertools.count()
 _grad_enabled = True
@@ -525,49 +527,19 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return _attach(out, (x,), "global_avg_pool", bw)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis` (max-subtracted, hence shift-invariant)."""
+def softmax(x: Tensor) -> Tensor:
+    """Stable softmax along the last axis (max-subtracted, hence shift-invariant)."""
     x = _as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
         if x.requires_grad:
-            _accum(x, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _attach(out, (x,), "softmax", bw)
-
-
-def _interp_coeffs(in_len: int, out_len: int, dtype):
-    """Align-corners source indices and blend weights for one axis."""
-    if out_len < 1:
-        raise ValueError("bilinear_resize_array: output size must be >= 1")
-    if in_len == 1 or out_len == 1:
-        pos = np.zeros(out_len, dtype=np.float64)
-    else:
-        pos = np.arange(out_len, dtype=np.float64) * (in_len - 1) / (out_len - 1)
-    i0 = np.minimum(pos.astype(np.int64), max(in_len - 2, 0))
-    i1 = np.minimum(i0 + 1, in_len - 1)
-    w = (pos - i0).astype(dtype)
-    return i0, i1, w
-
-
-def _resize_axis(data: np.ndarray, out_len: int, axis: int) -> np.ndarray:
-    i0, i1, w = _interp_coeffs(data.shape[axis], out_len, data.dtype)
-    shape = [1] * data.ndim
-    shape[axis] = out_len
-    w = w.reshape(shape)
-    a = np.take(data, i0, axis=axis)
-    b = np.take(data, i1, axis=axis)
-    # a + (b - a) * w is exact for equal endpoints (constant images resize exactly)
-    return a + (b - a) * w
-
-
-def bilinear_resize_array(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Plain-array bilinear resize of the two trailing axes (align-corners)."""
-    return _resize_axis(_resize_axis(data, out_h, data.ndim - 2), out_w, data.ndim - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -629,13 +601,14 @@ def _walk_params(name: str, value) -> Iterator[tuple[str, Tensor]]:
             yield from _walk_params(f"{name}.{i}", v)
 
 
-def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Normal(0, std) resampled until within 2 std, as a trainable parameter."""
-    vals = rng.normal(0.0, std, size=shape)
-    bad = np.abs(vals) > 2 * std
+def trunc_normal(shape, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> Tensor:
+    """Normal(0, 0.02) resampled until within two standard deviations, as a
+    trainable parameter."""
+    vals = rng.normal(0.0, _INIT_STD, size=shape)
+    bad = np.abs(vals) > 2 * _INIT_STD
     while bad.any():
-        vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * std
+        vals[bad] = rng.normal(0.0, _INIT_STD, size=int(bad.sum()))
+        bad = np.abs(vals) > 2 * _INIT_STD
     return Tensor(vals.astype(dtype), requires_grad=True)
 
 

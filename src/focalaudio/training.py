@@ -2,11 +2,18 @@
 learning rate and global-norm gradient clipping, the epoch loop, and
 checkpoints.
 
-A checkpoint is stored in the package's one binary container
-(`audio.write_container` / `audio.read_container`: magic, version, sorted-key
-JSON header, little-endian arrays, SHA-256 trailer). The header carries the
-three configs as `dataclasses.asdict` dicts, the history and the Adam step;
-the arrays are the parameters and the Adam moments, by parameter path.
+The checkpoint file is the package's one binary format:
+
+    b"FOCALCK1" | <IQ version (1), header length | JSON header | payload
+    | SHA-256 of everything before it (32 bytes)
+
+The header is sorted-key JSON: the three configs as `dataclasses.asdict`
+dicts (`model_config`, `train_config`, `frontend`), the `history`, the Adam
+step `optimizer_t`, and `arrays`, the index of the payload. It holds one
+{kind, name, dtype, shape, offset, nbytes} record per little-endian array
+(float64 stays "<f8", everything else is stored as "<f4"), written kind by
+kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
+kind.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 import time
 import zlib
 from dataclasses import dataclass, field, asdict
@@ -31,14 +39,17 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .audio import ContainerError, FrontendConfig, augment, read_container, write_container
+from .audio import FrontendConfig, augment
+from .data import ClipSet
 from .focalnet import FocalNet, FocalNetConfig, _l2_normalize
 from .metrics import accuracy, batched_logits
 from .tensor import NumericalError, Tensor, backward
 
 
-# unreadable checkpoint files and checkpoints that do not fit the model
-CheckpointError = ContainerError
+class CheckpointError(ValueError):
+    """An unreadable checkpoint file, named with the check that failed
+    (magic, length, checksum, version or header), or a checkpoint that does
+    not fit its model, named with the parameter."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -189,22 +200,6 @@ def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: floa
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ClipSet:
-    """Preprocessed model inputs ready for training or evaluation."""
-
-    inputs: np.ndarray  # [N, 3, S, S] float32
-    labels: np.ndarray  # [N] int64
-    clip_ids: list
-
-    def __post_init__(self):
-        if len(self.inputs) != len(self.labels) or len(self.labels) != len(self.clip_ids):
-            raise ValueError("inputs, labels and clip_ids must align")
-
-    def __len__(self):
-        return len(self.labels)
-
-
-@dataclass
 class Checkpoint:
     params: dict  # name -> ndarray
     optimizer: AdamState
@@ -301,14 +296,14 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
             for lo in range(0, len(order), config.batch_size):
                 idx = order[lo : lo + config.batch_size]
                 xb = np.stack([
-                    augment(Tensor(train.inputs[i]), config.augment_prob,
-                            _clip_seed(config.seed, epoch, train.clip_ids[i])).data
+                    augment(train.inputs[i], config.augment_prob,
+                            _clip_seed(config.seed, epoch, train.clip_ids[i]))
                     for i in idx
                 ])
                 yb = train.labels[idx]
                 t0 = time.perf_counter()
                 model.zero_grad()
-                feats, _ = model.forward_features(Tensor(xb))
+                feats, _ = model.forward_features(xb)
                 loss = am_softmax_loss(feats, model.head.weight, yb,
                                        config.am_margin, config.am_scale,
                                        clip_ids=[train.clip_ids[i] for i in idx])
@@ -359,21 +354,67 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Parameters and Adam moments by path, configs, history and Adam step."""
-    header = {
+    """Parameters and Adam moments by path, configs, history and Adam step,
+    in the layout of the module docstring."""
+    index = []
+    raws = []
+    offset = 0
+    for kind, named in (("param", ckpt.params), ("adam_m", ckpt.optimizer.m),
+                        ("adam_v", ckpt.optimizer.v)):
+        for name in sorted(named):
+            arr = named[name]
+            dt = "<f8" if arr.dtype == np.float64 else "<f4"
+            raw = np.ascontiguousarray(arr, dtype=dt)
+            index.append({"kind": kind, "name": name, "dtype": dt,
+                          "shape": list(arr.shape), "offset": offset, "nbytes": raw.nbytes})
+            raws.append(raw)
+            offset += raw.nbytes
+    head = json.dumps({
         "model_config": asdict(ckpt.model_config),
         "train_config": asdict(ckpt.train_config),
         "frontend": asdict(ckpt.frontend),
         "history": ckpt.history,
         "optimizer_t": ckpt.optimizer.t,
-    }
-    arrays = {"param": ckpt.params, "adam_m": ckpt.optimizer.m, "adam_v": ckpt.optimizer.v}
-    write_container(path, _CKPT_MAGIC, _CKPT_VERSION, header, arrays)
+        "arrays": index,
+    }, sort_keys=True).encode()
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in (_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(head)) + head, *raws):
+            digest.update(part)
+            f.write(part)
+        f.write(digest.digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """The container is validated before anything is built."""
-    header, arrays = read_container(path, _CKPT_MAGIC, _CKPT_VERSION)
+    """Magic, length, checksum and version are checked, in that order, before
+    the header is parsed or anything is built (a file shorter than the magic
+    is reported as truncated); any failure raises `CheckpointError`."""
+    with open(path, "rb") as f:
+        blob = memoryview(f.read())
+    magic_len = len(_CKPT_MAGIC)
+    prefix = magic_len + 12
+    if len(blob) < magic_len:
+        raise CheckpointError(f"{path}: truncated, {len(blob)} bytes")
+    if blob[:magic_len] != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: magic mismatch, not a {_CKPT_MAGIC.decode()} container")
+    if len(blob) < prefix + 32:
+        raise CheckpointError(f"{path}: truncated, {len(blob)} bytes")
+    body = blob[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
+        raise CheckpointError(f"{path}: checksum mismatch, refusing to load")
+    found, hlen = struct.unpack("<IQ", body[magic_len:prefix])
+    if found != _CKPT_VERSION:
+        raise CheckpointError(f"{path}: unsupported version {found}, expected {_CKPT_VERSION}")
+    payload = body[prefix + hlen :]
+    arrays: dict = {}
+    try:  # a checksummed file can still come from another writer
+        header = json.loads(bytes(body[prefix : prefix + hlen]))
+        for a in header.pop("arrays"):
+            raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
+            arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
+            arrays.setdefault(a["kind"], {})[a["name"]] = arr
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e}") from None
     return Checkpoint(
         params=arrays.get("param", {}),
         optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),

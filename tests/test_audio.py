@@ -1,24 +1,23 @@
-"""Frontend tests: WAV round trips, resampling, the STFT contract (513x431
-for 5 s at 16 kHz), inverse-STFT reconstruction quality, input packing and
-augmentation determinism."""
+"""Frontend tests: WAV round trips and malformed files, resampling, the STFT
+contract (513x431 for 5 s at 16 kHz), inverse-STFT reconstruction quality,
+bilinear resizing, input packing and augmentation determinism."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from focalaudio.audio import (
     ConfigError,
-    ContainerError,
     FrontendConfig,
-    Spectrogram,
     Waveform,
     WavFormatError,
     augment,
+    bilinear_resize_array,
     istft_reconstruct,
-    load_spectrogram,
     load_wav,
     preprocess,
     resample,
-    save_spectrogram,
     save_wav,
     stft,
     to_model_input,
@@ -55,8 +54,6 @@ class TestWavIO:
 
     def test_stereo_downmix(self, tmp_path):
         # hand-build a 2-channel PCM16 file
-        import struct
-
         left = np.array([0.5, -0.5, 0.25], dtype=np.float32)
         right = np.array([0.1, 0.3, -0.25], dtype=np.float32)
         inter = np.empty(6, dtype=np.float32)
@@ -86,6 +83,24 @@ class TestWavIO:
         p = tmp_path / "bad.wav"
         p.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(WavFormatError, match="byte 0"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("audio_format, rate, bits, payload, check", [
+        (1, 16000, 16, b"\x00" * 7, "data chunk of 7 bytes .* 16-bit samples at byte 44"),
+        (3, 16000, 32, b"\x00" * 6, "data chunk of 6 bytes .* 32-bit samples at byte 44"),
+        (1, 0, 16, b"\x00" * 8, "sample rate 0 in fmt chunk at byte 12"),
+    ], ids=["pcm16_odd_bytes", "float32_partial_sample", "zero_rate"])
+    def test_malformed_fmt_or_data_names_path_and_byte(self, tmp_path, audio_format, rate,
+                                                       bits, payload, check):
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE",
+            b"fmt ", 16, audio_format, 1, rate, rate * bits // 8, bits // 8, bits,
+            b"data", len(payload),
+        )
+        p = tmp_path / "odd.wav"
+        p.write_bytes(hdr + payload)
+        with pytest.raises(WavFormatError, match=f"odd.wav: {check}"):
             load_wav(p)
 
     def test_waveform_validation(self):
@@ -188,24 +203,47 @@ class TestIstft:
             istft_reconstruct(s.log_mag, s.phase, s.params)
 
 
+class TestBilinearResize:
+    def test_constant_stays_constant(self):
+        x = np.full((2, 5, 7), 4.2)
+        y = bilinear_resize_array(x, 9, 3)
+        assert y.shape == (2, 9, 3)
+        np.testing.assert_allclose(y, 4.2, rtol=1e-12)
+
+    def test_same_size_is_identity(self):
+        x = RNG.standard_normal((1, 6, 8))
+        np.testing.assert_allclose(bilinear_resize_array(x, 6, 8), x, atol=1e-6)
+
+    def test_row_midpoint(self):
+        x = np.array([[[0.0, 1.0]]])
+        y = bilinear_resize_array(x, 1, 3)
+        np.testing.assert_allclose(y[0, 0], [0.0, 0.5, 1.0])
+
+    def test_resize_roundtrip_constant_exact(self):
+        x = np.full((1, 4, 4), 1.7)
+        y = bilinear_resize_array(bilinear_resize_array(x, 11, 5), 4, 4)
+        np.testing.assert_allclose(y, 1.7, rtol=0)
+
+
 class TestModelInput:
     def test_replicated_channels_and_shape(self):
         s = stft(sine(500, 5.0, 16000))
         x = to_model_input(s, out=224)
+        assert isinstance(x, np.ndarray) and x.dtype == np.float32
         assert x.shape == (3, 224, 224)
-        np.testing.assert_array_equal(x.data[0], x.data[1])
-        np.testing.assert_array_equal(x.data[0], x.data[2])
+        np.testing.assert_array_equal(x[0], x[1])
+        np.testing.assert_array_equal(x[0], x[2])
 
     def test_standardized(self):
         s = stft(sine(1234, 5.0, 16000))
-        x = to_model_input(s, out=96).data[0]
+        x = to_model_input(s, out=96)[0]
         assert abs(x.mean()) < 1e-4
         assert abs(x.std() - 1.0) < 1e-3
 
     def test_constant_spectrogram_maps_to_zero(self):
         w = Waveform(np.zeros(16000, dtype=np.float32), 16000)
         x = to_model_input(stft(w), out=64)
-        np.testing.assert_array_equal(x.data, 0.0)
+        np.testing.assert_array_equal(x, 0.0)
 
     def test_shape_idempotence(self):
         # a square spectrogram already at target size only gets standardized:
@@ -213,7 +251,7 @@ class TestModelInput:
         w = sine(1500, 14272 / 16000, 16000)
         s = stft(w, n_fft=446, win_ms=20.0, hop_ms=4.0)
         assert s.log_mag.shape == (224, 224)
-        x = to_model_input(s, out=224).data[0]
+        x = to_model_input(s, out=224)[0]
         ref = (s.log_mag - s.log_mag.mean()) / s.log_mag.std()
         np.testing.assert_allclose(x, ref, atol=1e-4)
 
@@ -228,56 +266,25 @@ class TestAugment:
     def test_probability_zero_is_identity(self):
         x = to_model_input(stft(sine(500, 5.0, 16000)), out=64)
         y = augment(x, 0.0, rng_seed=3)
-        np.testing.assert_array_equal(x.data, y.data)
+        assert y is not x
+        np.testing.assert_array_equal(x, y)
 
     def test_deterministic_given_seed(self):
         x = to_model_input(stft(sine(500, 5.0, 16000)), out=64)
         a = augment(x, 0.75, rng_seed=42)
         b = augment(x, 0.75, rng_seed=42)
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_drops_are_zero_and_complement_unchanged(self):
         x = to_model_input(stft(sine(500, 5.0, 16000)), out=64)
-        x.data += 5.0  # keep zero out of the natural value range
+        x += 5.0  # keep zero out of the natural value range
+        kept = x.copy()
         found = False
         for seed in range(30):
             y = augment(x, 1.0, rng_seed=seed)
-            dropped = y.data == 0.0
+            dropped = y == 0.0
             if dropped.any():
                 found = True
-                np.testing.assert_array_equal(y.data[~dropped], x.data[~dropped])
+                np.testing.assert_array_equal(y[~dropped], x[~dropped])
+        np.testing.assert_array_equal(x, kept)  # the input is not written
         assert found
-
-
-class TestSpectrogramContainer:
-    def test_binary_round_trip(self, tmp_path):
-        s = stft(sine(800, 1.0, 16000))
-        p = tmp_path / "s.fasg"
-        save_spectrogram(s, p)
-        back = load_spectrogram(p)
-        np.testing.assert_array_equal(back.log_mag, s.log_mag)
-        np.testing.assert_array_equal(back.phase, s.phase)
-        assert back.params == s.params
-
-    def test_corrupt_magic(self, tmp_path):
-        p = tmp_path / "s.fasg"
-        p.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(ValueError):
-            load_spectrogram(p)
-
-    @pytest.mark.parametrize("size", [6, 11, 40])
-    def test_truncated_file_names_path(self, tmp_path, size):
-        p = tmp_path / "s.fasg"
-        save_spectrogram(stft(sine(800, 1.0, 16000)), p)
-        p.write_bytes(p.read_bytes()[:size])
-        with pytest.raises(ContainerError, match="s.fasg: truncated"):
-            load_spectrogram(p)
-
-    def test_flipped_payload_byte_rejected(self, tmp_path):
-        p = tmp_path / "s.fasg"
-        save_spectrogram(stft(sine(800, 1.0, 16000)), p)
-        blob = bytearray(p.read_bytes())
-        blob[-40] ^= 0x01  # last phase value, before the 32-byte trailer
-        p.write_bytes(bytes(blob))
-        with pytest.raises(ContainerError, match="s.fasg: checksum mismatch"):
-            load_spectrogram(p)

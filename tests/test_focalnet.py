@@ -126,14 +126,14 @@ class TestFocalModulation:
         layer.out_proj.weight.data[:] = 0.0
         layer.out_proj.bias.data[:] = 1.0  # modulator forced to all ones
         x = Tensor(RNG.standard_normal((1, 4, 6, 6)))
-        y, m = layer.focal_modulation(x)
+        y, m = layer(x)
         np.testing.assert_array_equal(m.data, 1.0)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_output_shape_matches_input(self):
         layer = make_layer()
         for shape in ((1, 4, 3, 9), (2, 4, 8, 8)):
-            y, _ = layer.focal_modulation(Tensor(RNG.standard_normal(shape)))
+            y, _ = layer(Tensor(RNG.standard_normal(shape)))
             assert y.shape == shape
 
     def test_gradient_32bit(self):
@@ -143,7 +143,7 @@ class TestFocalModulation:
         params["x"] = x
 
         def f():
-            y, _ = layer.focal_modulation(x)
+            y, _ = layer(x)
             return (y * y).sum()
 
         errs = gradient_check(f, params, step=1e-3)
@@ -156,7 +156,7 @@ class TestFocalModulation:
         params["x"] = x
 
         def f():
-            y, _ = layer.focal_modulation(x)
+            y, _ = layer(x)
             return (y * y).sum()
 
         errs = gradient_check(f, params, step=1e-5)
@@ -264,7 +264,6 @@ class TestFocalNetForward:
                                    cache_modulator=True)
         # stride 4 then 2: 32 -> 8 -> 4, final dim 16
         assert cache.modulator.shape == (1, 16, 4, 4)
-        assert cache.stage_index == 1
         assert cache.valid_hw == (4, 4)
 
     def test_cache_none_when_disabled(self):
@@ -315,6 +314,17 @@ class TestFocalNetForward:
         np.testing.assert_allclose(lb.data[1], l1.data[0], atol=1e-5)
         # a [3, H, W] input is its batch of one
         np.testing.assert_array_equal(single.data, l0.data)
+
+    def test_plain_array_input_is_wrapped_with_its_dtype(self):
+        xs = RNG.standard_normal((2, 3, 32, 32))
+        for dtype in (np.float32, np.float64):
+            net = FocalNet(FocalNetConfig.tiny(), seed=1, dtype=dtype)
+            x = xs.astype(dtype)
+            with no_grad():
+                from_array, _ = net.forward(x)
+                from_tensor, _ = net.forward(Tensor(x))
+            assert from_array.dtype == dtype
+            np.testing.assert_array_equal(from_array.data, from_tensor.data)
 
     def test_rejects_wrong_channel_count(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=0)

@@ -114,7 +114,7 @@ def test_sweep_forward_count(synth, n_clips, qs):
 
 def test_evaluate_accuracy_and_predict_batch_agree(synth):
     model, specs, _, _ = synth
-    inputs = np.stack([audio.to_model_input(s, out=INPUT_SIZE).data for s in specs])
+    inputs = np.stack([audio.to_model_input(s, out=INPUT_SIZE) for s in specs])
     labels = np.repeat(np.arange(4), 2)  # the train split is class-major
     clip_set = training.ClipSet(inputs, labels, [f"c{i}" for i in range(8)])
     expected = metrics.accuracy(np.asarray(REF_PREDICTIONS), labels)

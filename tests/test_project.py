@@ -1,6 +1,7 @@
 """Packaging metadata points at code that exists, the benchmark's tracer
-still finds every name it wraps, and the package carries no dead code: every
-definition is named somewhere beyond its own `def`, every import is used."""
+still finds every name it wraps, the package carries no dead code (every
+definition and module-level name is named somewhere beyond where it is
+defined, every import is used), and its modules keep their layers."""
 
 import ast
 import importlib
@@ -59,7 +60,8 @@ PACKAGE = ROOT / "src" / "focalaudio"
 
 
 def _defined_names(tree: ast.Module) -> set:
-    """Module-level functions and classes, and the methods of those classes."""
+    """Module-level functions, classes and assigned names, and the methods of
+    those classes."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -67,18 +69,23 @@ def _defined_names(tree: ast.Module) -> set:
         if isinstance(node, ast.ClassDef):
             names |= {n.name for n in node.body
                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
 def test_every_package_definition_is_named_elsewhere():
-    # A function, class or method whose name appears nowhere but in its own
-    # `def`/`class` lines has no caller, no test and no benchmark use.
+    # A function, class, method or module-level name that appears nowhere but
+    # in its own `def`/`class` lines or unindented assignments has no caller,
+    # no test and no benchmark use.
     text = "\n".join(p.read_text() for d in SOURCE_DIRS for p in sorted((ROOT / d).rglob("*.py")))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name in sorted(_defined_names(ast.parse(path.read_text()))):
             uses = len(re.findall(rf"\b{name}\b", text))
-            defs = len(re.findall(rf"\b(?:def|class)\s+{name}\b", text))
+            defs = len(re.findall(rf"\b(?:def|class)\s+{name}\b|^{name}\s*[:=]", text,
+                                  flags=re.MULTILINE))
             if uses <= defs:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"defined but never named elsewhere: {unused}"
@@ -97,3 +104,34 @@ def test_every_package_import_is_used():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.stem}: {name}" for name in sorted(imported - used)]
     assert not unused, f"imported but unused: {unused}"
+
+
+# -- layers -----------------------------------------------------------------
+
+# The frontend and the tape sit below every other module of the package.
+LEAF_MODULES = ("audio", "tensor")
+
+
+def _package_imports(node) -> list:
+    """Package modules an import statement names, relative or absolute."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            return [node.module] if node.module else [a.name for a in node.names]
+        return [node.module] if node.module.split(".")[0] == "focalaudio" else []
+    return [a.name for a in node.names if a.name.split(".")[0] == "focalaudio"]
+
+
+def test_modules_keep_their_layers():
+    problems = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top_level = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            where = f"{path.stem}, line {node.lineno}"
+            if id(node) not in top_level:
+                problems.append(f"{where}: import below module level")
+            elif path.stem in LEAF_MODULES and _package_imports(node):
+                problems.append(f"{where}: imports package modules {_package_imports(node)}")
+    assert not problems, problems

@@ -66,6 +66,33 @@ class TestFitLog:
             assert math.isclose(line["grad_norm"], gnorm, rel_tol=1e-6)
 
 
+class TestTrainingDiverged:
+    def test_carries_the_state_after_the_last_finite_step(self, monkeypatch):
+        train, val = tiny_fit_data()
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+        initial = {k: p.data.copy() for k, p in net.named_parameters()}
+        loss_fn = training.am_softmax_loss
+        calls = []
+
+        def nan_on_second_step(*args, **kwargs):
+            calls.append(None)
+            loss = loss_fn(*args, **kwargs)
+            return loss * np.float32(np.nan) if len(calls) == 2 else loss
+
+        monkeypatch.setattr(training, "am_softmax_loss", nan_on_second_step)
+        config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
+        with pytest.raises(training.TrainingDiverged, match="epoch 0 step 1") as err:
+            training.fit(net, train, val, config)
+        ckpt = err.value.checkpoint
+        assert len(calls) == 2
+        assert ckpt.optimizer.t == 1 and ckpt.history == []
+        assert ckpt.optimizer.m.keys() == ckpt.params.keys() == initial.keys()
+        # the first step was applied and the diverged second one was not
+        assert any(not np.array_equal(ckpt.params[k], v) for k, v in initial.items())
+        for name, p in net.named_parameters():
+            np.testing.assert_array_equal(ckpt.params[name], p.data, err_msg=name)
+
+
 class TestGradientSharing:
     @staticmethod
     def train_step(net, x, labels):
