@@ -149,27 +149,33 @@ def load_wav(path) -> Waveform:
         raise WavFormatError(f"{path}: no fmt chunk found")
     if data is None:
         raise WavFormatError(f"{path}: no data chunk found")
-    fmt_pos, (audio_format, channels, rate, _, _, bits) = fmt
+    fmt_pos, (audio_format, channels, rate, _, block_align, bits) = fmt
     offset, payload = data
 
     if rate == 0:
         raise WavFormatError(f"{path}: sample rate 0 in fmt chunk at byte {fmt_pos}")
+    if channels == 0:
+        raise WavFormatError(f"{path}: 0 channels in fmt chunk at byte {fmt_pos}")
     if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise WavFormatError(
             f"{path}: unsupported codec (format {audio_format}, {bits}-bit) at byte {offset}"
         )
-    if len(payload) % (bits // 8):
+    if block_align != channels * bits // 8:
+        raise WavFormatError(
+            f"{path}: block align {block_align} is not {channels} channels x {bits // 8} "
+            f"bytes in fmt chunk at byte {fmt_pos}"
+        )
+    if len(payload) % block_align:
         raise WavFormatError(
             f"{path}: data chunk of {len(payload)} bytes is not a whole number of "
-            f"{bits}-bit samples at byte {offset}"
+            f"{channels}-channel frames of {bits}-bit samples at byte {offset}"
         )
     if bits == 16:
         raw = np.frombuffer(payload, dtype="<i2").astype(np.float32) / 32768.0
     else:
         raw = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     if channels > 1:
-        usable = (raw.size // channels) * channels
-        raw = raw[:usable].reshape(-1, channels).mean(axis=1)
+        raw = raw.reshape(-1, channels).mean(axis=1)
     if raw.size == 0:
         raise WavFormatError(f"{path}: empty data chunk at byte {offset}")
     return Waveform(samples=raw, sample_rate=rate)
@@ -223,18 +229,6 @@ def _periodic_hann(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
 
 
-def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Mirror padding without the np.pad restriction pad < len(x)."""
-    n = x.size
-    if n == 1:
-        return np.full(n + 2 * pad, x[0])
-    idx = np.arange(-pad, n + pad)
-    period = 2 * n - 2
-    m = np.mod(idx, period)
-    m = np.where(m >= n, period - m, m)
-    return x[m]
-
-
 def _padded_window(win_length: int, n_fft: int) -> np.ndarray:
     w = _periodic_hann(win_length)
     lead = (n_fft - win_length) // 2
@@ -261,7 +255,7 @@ def stft(w: Waveform, n_fft: int = 1024, win_ms: float = 23.0,
     )
     window = _padded_window(win_length, n_fft)
     half = n_fft // 2
-    x = _reflect_pad(w.samples.astype(np.float64), half)
+    x = np.pad(w.samples.astype(np.float64), half, mode="reflect")
     n_frames = 1 + w.samples.size // hop_length
     starts = np.arange(n_frames) * hop_length
     frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[starts] * window

@@ -2,13 +2,15 @@
 
 A small numpy-backed engine providing exactly the operators the focal
 modulation classifier and its loss need: linear maps, depth-wise 2-d
-convolution, GeLU, layer normalization, global average pooling and softmax,
-plus the elementwise, reduction, indexing, reshaping and padding ops between
-them, each with a hand-written backward rule. Gradients are recorded on a
-tape of nodes ordered by creation, so `backward` is a single reverse sweep.
-Around the tape sit the parameter containers and the finite-difference
-oracle that checks the backward rules. Signal processing without gradients
-(the frontend, the masks) works on plain arrays in `audio` and `interpret`.
+convolution, GeLU, layer normalization, global average pooling, softmax and
+the training loss as one fused softmax cross-entropy, plus the ops between
+them (add, mul, div, sqrt, sum, indexing, reshaping, transposing,
+broadcasting and padding), each with a hand-written backward rule.
+Gradients are recorded on a tape of nodes ordered by creation, so `backward`
+is a single reverse sweep. Around the tape sit the parameter containers and
+the finite-difference oracle that checks the backward rules. Signal
+processing without gradients (the frontend, the masks) works on plain arrays
+in `audio` and `interpret`.
 
 Conventions fixed here:
 
@@ -68,12 +70,10 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_seq")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(dtype or DEFAULT_DTYPE)
-        elif dtype is not None and arr.dtype != dtype:
-            arr = arr.astype(dtype)
+            arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -115,15 +115,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __sub__(self, other):
-        return add(self, neg(_as_tensor(other, self.dtype)))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self.dtype), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
     def __truediv__(self, other):
         return div(self, other)
 
@@ -132,9 +123,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -145,10 +133,10 @@ class Tensor:
         return transpose(self, axes)
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype or DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=DEFAULT_DTYPE))
 
 
 def _attach(out: Tensor, parents: Sequence[Tensor], op: str,
@@ -218,17 +206,6 @@ def mul(a, b) -> Tensor:
     return _attach(out, (a, b), "mul", bw)
 
 
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    out = Tensor(-a.data)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, -g)
-
-    return _attach(out, (a,), "neg", bw)
-
-
 def div(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data / b.data)
@@ -240,27 +217,6 @@ def div(a, b) -> Tensor:
             _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _attach(out, (a, b), "div", bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y)
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g * y)
-
-    return _attach(out, (a,), "exp", bw)
-
-
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g / a.data)
-
-    return _attach(out, (a,), "log", bw)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -289,20 +245,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(a, np.broadcast_to(g, a.shape).copy())
 
     return _attach(out, (a,), "sum", bw)
-
-
-def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    count = a.data.size if axis is None else np.prod([a.shape[ax] for ax in np.atleast_1d(axis)])
-
-    def bw(g):
-        if not a.requires_grad:
-            return
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape) / a.data.dtype.type(count))
-
-    return _attach(out, (a,), "mean", bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -540,6 +482,32 @@ def softmax(x: Tensor) -> Tensor:
             _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return _attach(out, (x,), "softmax", bw)
+
+
+def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
+    """Mean over rows of -log softmax(logits) at the one-hot targets.
+
+    logits: [B, K]; onehot: a plain [B, K] array with one 1 per row. The
+    log-sum-exp is shifted by the row max, a constant of the tape, so the
+    gradient is (softmax(logits) - onehot) / B, summed as the one-hot term
+    first and the softmax term second.
+    """
+    if logits.ndim != 2 or onehot.shape != logits.shape:
+        raise ValueError(f"cross_entropy: logits {logits.shape} and one-hot {onehot.shape} "
+                         "must both be [B, K]")
+    z = logits.data
+    shift = z.max(axis=-1, keepdims=True)
+    e = np.exp(z - shift)
+    s = e.sum(axis=-1)
+    out = Tensor((np.log(s) + shift[:, 0] - (z * onehot).sum(axis=-1)).mean())
+    rows = z.dtype.type(z.shape[0])
+
+    def bw(g):
+        if logits.requires_grad:
+            gm = g / rows
+            _accum(logits, -gm * onehot + (gm / s)[:, None] * e)
+
+    return _attach(out, (logits,), "cross_entropy", bw)
 
 
 # ---------------------------------------------------------------------------

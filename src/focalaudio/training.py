@@ -107,31 +107,40 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
                     scale: float, clip_ids=None) -> Tensor:
     """Cross-entropy over scale * (cosine - margin at the true class).
 
-    Features and class weights are L2-normalized internally. A zero-norm
-    feature row is a numerical error (named by clip id when given).
+    Features and class weights are L2-normalized internally. A missing or
+    out-of-range label is a `ValueError` and a zero-norm feature row a
+    numerical error, each naming the clip id when given, else the batch row.
     """
     if margin < 0 or scale <= 0:
         raise ValueError("margin must be >= 0 and scale > 0")
     if features.ndim != 2 or class_weights.ndim != 2:
         raise ValueError("features must be [B, D] and class_weights [K, D]")
+
+    def who(row) -> str:
+        return f"clip {clip_ids[row]}" if clip_ids is not None else f"batch row {row}"
+
+    rows, classes = features.shape[0], class_weights.shape[0]
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or labels.size > rows:
+        raise ValueError(f"labels of shape {labels.shape} for {rows} feature rows")
+    if labels.size < rows:
+        raise ValueError(f"no label for {who(labels.size)}: {labels.size} labels "
+                         f"for {rows} feature rows")
+    bad = np.flatnonzero((labels < 0) | (labels >= classes))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]]} of {who(bad[0])} is outside "
+                         f"the {classes} classes [0, {classes})")
     norms = np.linalg.norm(features.data, axis=-1)
     if (norms < 1e-12).any():
-        bad = int(np.argmin(norms))
-        who = clip_ids[bad] if clip_ids is not None else f"batch row {bad}"
-        raise NumericalError(f"zero-norm feature row for {who}")
+        raise NumericalError(f"zero-norm feature row for {who(int(np.argmin(norms)))}")
     fn = _l2_normalize(features)
     wn = _l2_normalize(class_weights)
     cosine = T.linear(fn, wn)  # [B, K]
     dtype = features.dtype.type
     onehot = np.zeros(cosine.shape, dtype=features.dtype)
-    onehot[np.arange(labels.size), labels] = 1.0
-    logits = (cosine - Tensor(onehot * dtype(margin))) * dtype(scale)
-    # logsumexp with a constant max shift; its gradient is plain softmax
-    shift = logits.data.max(axis=-1, keepdims=True)
-    lse = T.log(T.exp(logits - Tensor(shift)).sum(axis=-1)) + Tensor(shift[:, 0])
-    picked = (logits * Tensor(onehot)).sum(axis=-1)
-    return (lse - picked).mean()
+    onehot[np.arange(rows), labels] = 1.0
+    logits = (cosine + Tensor(onehot * dtype(-margin))) * dtype(scale)
+    return T.cross_entropy(logits, onehot)
 
 
 def cyclic_lr(step: int, lr_min: float, lr_max: float, step_size: int) -> float:
@@ -413,14 +422,14 @@ def load_checkpoint(path) -> Checkpoint:
             raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
             arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
             arrays.setdefault(a["kind"], {})[a["name"]] = arr
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"{path}: malformed header: {e}") from None
-    return Checkpoint(
-        params=arrays.get("param", {}),
-        optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),
-                            t=header["optimizer_t"]),
-        train_config=TrainConfig(**header["train_config"]),
-        model_config=FocalNetConfig(**header["model_config"]),
-        frontend=FrontendConfig(**header["frontend"]),
-        history=header["history"],
-    )
+        return Checkpoint(
+            params=arrays.get("param", {}),
+            optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),
+                                t=header["optimizer_t"]),
+            train_config=TrainConfig(**header["train_config"]),
+            model_config=FocalNetConfig(**header["model_config"]),
+            frontend=FrontendConfig(**header["frontend"]),
+            history=header["history"],
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e!r}") from None

@@ -103,6 +103,25 @@ class TestWavIO:
         with pytest.raises(WavFormatError, match=f"odd.wav: {check}"):
             load_wav(p)
 
+    @pytest.mark.parametrize("channels, block_align, payload, check", [
+        (0, 0, b"\x00" * 8, "0 channels in fmt chunk at byte 12"),
+        (2, 2, b"\x00" * 8, "block align 2 is not 2 channels x 2 bytes in fmt chunk at byte 12"),
+        (1, 4, b"\x00" * 8, "block align 4 is not 1 channels x 2 bytes in fmt chunk at byte 12"),
+        (2, 4, b"\x00" * 6, "data chunk of 6 bytes .* 2-channel frames of 16-bit samples at byte 44"),
+    ], ids=["zero_channels", "stereo_align_of_mono", "mono_align_of_stereo", "stereo_partial_frame"])
+    def test_inconsistent_channels_name_path_and_byte(self, tmp_path, channels, block_align,
+                                                      payload, check):
+        hdr = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(payload), b"WAVE",
+            b"fmt ", 16, 1, channels, 16000, 16000 * block_align, block_align, 16,
+            b"data", len(payload),
+        )
+        p = tmp_path / "chan.wav"
+        p.write_bytes(hdr + payload)
+        with pytest.raises(WavFormatError, match=f"chan.wav: {check}"):
+            load_wav(p)
+
     def test_waveform_validation(self):
         with pytest.raises(ValueError):
             Waveform(np.array([np.nan], dtype=np.float32), 16000)
@@ -161,6 +180,13 @@ class TestStft:
         w = Waveform(np.zeros(16000, dtype=np.float32), 16000)
         s = stft(w)
         np.testing.assert_allclose(s.log_mag, np.log(s.params.eps), atol=1e-4)
+
+    def test_clip_shorter_than_the_centering_pad(self):
+        # 400 samples against a 512-sample reflect pad on each side
+        x = RNG.uniform(-1, 1, 400).astype(np.float32)
+        s = stft(Waveform(x, 16000))
+        assert s.log_mag.shape == (513, 1 + 400 // 186)
+        assert np.isfinite(s.log_mag).all()
 
     def test_too_short_clip(self):
         with pytest.raises(ValueError, match="shorter"):

@@ -1,8 +1,10 @@
 """Tests for the autodiff tensor engine: forward values against hand oracles,
 gradients against central finite differences."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,31 +293,110 @@ class TestBackward:
         assert max(errs.values()) < 1e-3
 
 
+def sweep_cases(rng) -> dict:
+    """One float64 gradient check per tape op, on small randomly shaped
+    tensors (dims <= 8): name -> (scalar closure, tensors to check)."""
+    c = int(rng.integers(1, 5))
+    h = int(rng.integers(2, 8))
+    w = int(rng.integers(2, 8))
+
+    def param(*shape, low=None):
+        data = rng.standard_normal(shape) if low is None else rng.uniform(low, low + 1.0, shape)
+        return Tensor(data, requires_grad=True)
+
+    x = param(1, c, h, w)
+    k = param(c, 3, 3)
+    Wm = param(3, w)
+    gam, bet = param(c), param(c)
+    row, col = param(c, 1, 1), param(w)
+    pos = param(1, c, h, w, low=0.5)
+    logits = Tensor(3.0 * rng.standard_normal((h, w)), requires_grad=True)
+    onehot = np.eye(w)[rng.integers(0, w, h)]
+    return {
+        "linear": (lambda: (linear(x, Wm) * linear(x, Wm)).sum(), {"x": x, "W": Wm}),
+        "dwconv2d": (lambda: gelu(dwconv2d(x, k)).sum(), {"x": x, "k": k}),
+        "gelu": (lambda: (gelu(x) * gelu(x)).sum(), {"x": x}),
+        "layernorm": (lambda: (layernorm(x, gam, bet, axis=1) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
+        "pool": (lambda: (global_avg_pool(x) * global_avg_pool(x)).sum(), {"x": x}),
+        "softmax": (lambda: (softmax(x) * x).sum(), {"x": x}),
+        "cross_entropy": (lambda: T.cross_entropy(logits, onehot), {"logits": logits}),
+        "div": (lambda: (x / pos * x).sum(), {"x": x, "pos": pos}),
+        "div_broadcast": (lambda: (x / (row * row + 0.5) * x).sum(), {"x": x, "row": row}),
+        "sqrt": (lambda: (T.sqrt(pos) * x).sum(), {"pos": pos, "x": x}),
+        "sum_all": (lambda: x.sum() * x.sum(), {"x": x}),
+        "sum_axis": (lambda: (x.sum(axis=1) * x.sum(axis=1)).sum(), {"x": x}),
+        "sum_axes": (lambda: (x.sum(axis=(2, 3)) * x.sum(axis=(2, 3))).sum(), {"x": x}),
+        "sum_keepdims": (lambda: (x.sum(axis=-1, keepdims=True) * x).sum(), {"x": x}),
+        "add_broadcast": (lambda: ((x + row + col) * (x + row + col)).sum(), {"x": x, "row": row, "col": col}),
+        "mul_broadcast": (lambda: (x * row * col * x).sum(), {"x": x, "row": row, "col": col}),
+        "getitem": (lambda: (x[:, :, 1:, ::2] * x[:, :, 1:, ::2]).sum(), {"x": x}),
+        "transpose_reshape": (lambda: (T.moveaxis(x, 1, 3).reshape(-1) * x.reshape(-1)).sum(), {"x": x}),
+        "broadcast_to": (lambda: (T.broadcast_to(row, x.shape) * x * x).sum(), {"row": row, "x": x}),
+        "pad": (lambda: (T.pad_bottom_right(x, 2, 1) * T.pad_bottom_right(x, 2, 1)).sum(), {"x": x}),
+    }
+
+
+def attached_op_labels() -> set:
+    """The `op` label of every `_attach` call in tensor.py's source."""
+    tree = ast.parse(Path(T.__file__).read_text())
+    return {node.args[2].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_attach"}
+
+
+def tape_op_labels(out: Tensor) -> set:
+    seen, stack, ops = set(), [out], set()
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            ops.add(t._op)
+            stack.extend(t._parents)
+    return ops
+
+
 class TestOperatorFiniteDifferenceSweep:
-    """Every differentiable operator on randomly shaped small tensors (dims <= 8)."""
+    """Every differentiable operator, against central differences in float64."""
 
     def test_sweep(self):
         rng = np.random.default_rng(7)
         for trial in range(5):
-            c = int(rng.integers(1, 5))
-            h = int(rng.integers(2, 8))
-            w = int(rng.integers(2, 8))
-            x = Tensor(rng.standard_normal((1, c, h, w)), requires_grad=True)
-            k = Tensor(rng.standard_normal((c, 3, 3)), requires_grad=True)
-            Wm = Tensor(rng.standard_normal((3, w)), requires_grad=True)
-            gam = Tensor(rng.standard_normal(c), requires_grad=True)
-            bet = Tensor(rng.standard_normal(c), requires_grad=True)
-            cases = {
-                "linear": (lambda: (linear(x, Wm) * linear(x, Wm)).sum(), {"x": x, "W": Wm}),
-                "dwconv2d": (lambda: gelu(dwconv2d(x, k)).sum(), {"x": x, "k": k}),
-                "gelu": (lambda: (gelu(x) * gelu(x)).sum(), {"x": x}),
-                "layernorm": (lambda: (layernorm(x, gam, bet, axis=1) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
-                "pool": (lambda: (global_avg_pool(x) * global_avg_pool(x)).sum(), {"x": x}),
-                "softmax": (lambda: (softmax(x) * x).sum(), {"x": x}),
-            }
-            for name, (f, params) in cases.items():
+            for name, (f, params) in sweep_cases(rng).items():
                 errs = gradient_check(f, params, step=1e-5)
                 assert max(errs.values()) < 1e-5, f"{name} trial {trial}: {errs}"
+
+    def test_every_tape_op_is_in_the_sweep(self):
+        # an op with a backward rule that no float64 check puts on the tape is
+        # an unchecked rule: add a sweep case for it, or delete the op
+        recorded = set()
+        for name, (f, params) in sweep_cases(np.random.default_rng(7)).items():
+            assert all(t.dtype == np.float64 for t in params.values()), name
+            recorded |= tape_op_labels(f())
+        attached = attached_op_labels()
+        assert {"cross_entropy", "sum", "linear"} <= attached  # the parse finds the labels
+        assert attached - recorded == set()
+
+
+class TestCrossEntropy:
+    def test_closed_form(self):
+        # softmax([0, log 3]) = [1/4, 3/4]; targets 1 and 0 cost -log(3/4) and -log(1/4)
+        z = Tensor(np.array([[0.0, math.log(3.0)], [0.0, math.log(3.0)]]))
+        loss = T.cross_entropy(z, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(loss.data, -(math.log(0.75) + math.log(0.25)) / 2, rtol=1e-14)
+
+    def test_large_logits_stay_finite(self):
+        z = Tensor(np.array([[1000.0, 0.0, -1000.0]]))
+        assert T.cross_entropy(z, np.array([[1.0, 0.0, 0.0]])).data == 0.0
+
+    def test_gradient_is_softmax_minus_onehot_over_rows(self):
+        z = randt(6, 5)
+        onehot = np.eye(5)[[0, 4, 2, 2, 1, 3]]
+        backward(T.cross_entropy(z, onehot))
+        want = (softmax(Tensor(z.data)).data - onehot) / 6
+        np.testing.assert_allclose(z.grad, want, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match="cross_entropy"):
+            T.cross_entropy(randt(3, 4), np.eye(3))
 
 
 class TestPlumbingOps:

@@ -15,7 +15,7 @@ import pytest
 from focalaudio import training
 from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import FocalNet, FocalNetConfig
-from focalaudio.tensor import NumericalError, Tensor, backward, no_grad
+from focalaudio.tensor import NumericalError, Tensor, backward, gradient_check, no_grad
 
 # fit log of the tiny model below, recorded before the kernel gradient was
 # reduced per tap; float32 sums in another order move the loss by ~1e-7
@@ -64,6 +64,61 @@ class TestFitLog:
             assert line["lr"] == lr
             assert math.isclose(line["loss"], loss, rel_tol=1e-6)
             assert math.isclose(line["grad_norm"], gnorm, rel_tol=1e-6)
+
+
+class TestAmSoftmaxLoss:
+    @staticmethod
+    def features_and_weights():
+        """Five float64 feature rows and four class weights of dimension 6."""
+        rng = np.random.default_rng(2)
+        return (Tensor(rng.standard_normal((5, 6)), requires_grad=True),
+                Tensor(rng.standard_normal((4, 6)), requires_grad=True))
+
+    def test_value_matches_margin_softmax_by_hand(self):
+        feats, weights = self.features_and_weights()
+        labels = np.array([0, 3, 1, 1, 2])
+        loss = training.am_softmax_loss(feats, weights, labels, 0.2, 30.0)
+        f = feats.data / np.linalg.norm(feats.data, axis=1, keepdims=True)
+        w = weights.data / np.linalg.norm(weights.data, axis=1, keepdims=True)
+        z = 30.0 * (f @ w.T - 0.2 * np.eye(4)[labels])
+        want = np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), labels])
+        np.testing.assert_allclose(loss.data, want, rtol=1e-12)
+
+    def test_gradients_vs_finite_differences_64bit(self):
+        feats, weights = self.features_and_weights()
+        labels = [0, 3, 1, 1, 2]
+        errs = gradient_check(lambda: training.am_softmax_loss(feats, weights, labels, 0.2, 30.0),
+                              {"features": feats, "class_weights": weights})
+        assert max(errs.values()) < 1e-6, errs
+
+    @pytest.mark.parametrize("labels, clip_ids, check", [
+        ([0, 1, -1, 2, 3], ["a", "b", "c", "d", "e"], "label -1 of clip c is outside the 4 classes"),
+        ([0, 1, 2, 3, 49], ["a", "b", "c", "d", "e"], "label 49 of clip e is outside the 4 classes"),
+        ([0, 1, 4, 2, 3], None, "label 4 of batch row 2 is outside the 4 classes"),
+        ([0, 1, 2], ["a", "b", "c", "d", "e"], "no label for clip d: 3 labels for 5 feature rows"),
+        ([0, 1, 2], None, "no label for batch row 3"),
+        ([0, 1, 2, 3, 0, 1], None, "labels of shape \\(6,\\) for 5 feature rows"),
+    ], ids=["negative", "esc50_label_on_4_classes", "k_without_ids", "short_list", "short_list_without_ids",
+            "long_list"])
+    def test_bad_labels_name_the_clip(self, labels, clip_ids, check):
+        feats, weights = self.features_and_weights()
+        with pytest.raises(ValueError, match=check):
+            training.am_softmax_loss(feats, weights, labels, 0.2, 30.0, clip_ids=clip_ids)
+
+    def test_zero_feature_row_names_the_clip(self):
+        feats, weights = self.features_and_weights()
+        feats.data[3] = 0.0
+        with pytest.raises(NumericalError, match="zero-norm feature row for clip d"):
+            training.am_softmax_loss(feats, weights, [0, 1, 2, 3, 0], 0.2, 30.0,
+                                     clip_ids=["a", "b", "c", "d", "e"])
+
+    def test_loss_is_three_tape_nodes_over_the_cosine(self):
+        feats, weights = self.features_and_weights()
+        loss = training.am_softmax_loss(feats, weights, [0, 1, 2, 3, 0], 0.2, 30.0)
+        assert loss._op == "cross_entropy"
+        assert [p._op for p in loss._parents] == ["mul"]
+        assert [p._op for p in loss._parents[0]._parents] == ["add", "leaf"]
+        assert loss._parents[0]._parents[0]._parents[0]._op == "linear"
 
 
 class TestTrainingDiverged:
@@ -170,6 +225,13 @@ def rewrite_trailer(blob: bytes) -> bytes:
     return blob[:-32] + hashlib.sha256(blob[:-32]).digest()
 
 
+def rewrite_header(blob: bytes, edit) -> bytes:
+    """The file with its JSON header replaced by `edit(header)`, re-sealed."""
+    (hlen,) = struct.unpack("<Q", blob[12:20])
+    head = json.dumps(edit(json.loads(blob[20 : 20 + hlen])), sort_keys=True).encode()
+    return rewrite_trailer(blob[:12] + struct.pack("<Q", len(head)) + head + blob[20 + hlen :])
+
+
 class TestCheckpoint:
     def test_round_trip_of_fit_checkpoint(self, fitted, tmp_path):
         net, ckpt = fitted
@@ -206,8 +268,17 @@ class TestCheckpoint:
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
+        (lambda b: rewrite_header(b, lambda h: {k: v for k, v in h.items() if k != "optimizer_t"}),
+         "malformed header: KeyError\\('optimizer_t'\\)"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "momentum": 0.9}}),
+         "malformed header: TypeError.*momentum"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": 1.0}}),
+         "malformed header: ValueError.*lr_min"),
+        (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
-            "truncated_40", "truncated_below_magic"])
+            "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
+            "header_with_unknown_config_field", "header_with_invalid_config_value",
+            "header_not_an_object"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
