@@ -18,9 +18,7 @@ import numpy as np
 
 from .audio import FrontendConfig, Waveform, load_wav, preprocess, save_wav
 
-TRAIN_FOLDS = (1, 2, 3)
-VAL_FOLD = 4
-TEST_FOLD = 5
+SPLIT_FOLDS = {"train": (1, 2, 3), "val": (4,), "test": (5,)}
 
 SYNTH_CLASSES = ("tone_500hz", "tone_2000hz", "white_noise", "am_tone_1000hz")
 SYNTH_TONE_HZ = {"tone_500hz": 500.0, "tone_2000hz": 2000.0, "am_tone_1000hz": 1000.0}
@@ -57,13 +55,9 @@ class DatasetManifest:
     num_classes: int
 
     def split(self, name: str) -> list:
-        if name == "train":
-            return [r for r in self.records if r.fold in TRAIN_FOLDS]
-        if name == "val":
-            return [r for r in self.records if r.fold == VAL_FOLD]
-        if name == "test":
-            return [r for r in self.records if r.fold == TEST_FOLD]
-        raise ValueError(f"unknown split {name!r} (train/val/test)")
+        if name not in SPLIT_FOLDS:
+            raise ValueError(f"unknown split {name!r} (train/val/test)")
+        return [r for r in self.records if r.fold in SPLIT_FOLDS[name]]
 
     def save(self, path) -> None:
         payload = {
@@ -189,6 +183,8 @@ def load_split(manifest: DatasetManifest, split_name: str, frontend: FrontendCon
     (the interpretation metrics need them, plain training does not).
     """
     records = manifest.split(split_name)
+    if not records:
+        raise ValueError(f"no clips in split {split_name!r}, folds {list(SPLIT_FOLDS[split_name])}")
     inputs, labels, ids, specs = [], [], [], []
     for r in records:
         spec, x = preprocess(load_wav(r.path), frontend)

@@ -11,8 +11,9 @@ A focal modulation layer replaces token-to-token attention with three steps:
 3. modulation: the query projection of the input is multiplied elementwise
    by the modulator.
 
-The modulator of the last block of the last stage is cached on request; its
-channel-wise L2 norm is the saliency map the interpretation pipeline uses.
+The forward returns the modulator of the last block of the last stage next
+to the logits, as a plain [B, C, h, w] array; its channel-wise L2 norm is the
+saliency map the interpretation pipeline uses.
 
 Feature maps are channel-first batches [B, C, H, W]; channel projections
 are applied along the channel axis at every location. The model entry is
@@ -109,23 +110,6 @@ class FocalNetConfig:
     def desk(cls, num_classes: int = 4) -> "FocalNetConfig":
         """Small model for CPU-scale experiments on 96x96 inputs (<1M params)."""
         return cls(stage_depths=(2, 2), stage_dims=(16, 32), num_classes=num_classes)
-
-
-@dataclass
-class ModulatorCache:
-    """Modulator of the final focal block of the final stage, one forward pass
-    of a batch (a single input is a batch of one)."""
-
-    modulator: np.ndarray  # [B, C, h, w]
-    input_hw: tuple  # spatial size the model was fed, before padding
-    total_stride: int
-
-    @property
-    def valid_hw(self) -> tuple:
-        """Feature cells covering the unpadded input."""
-        h, w = self.input_hw
-        s = self.total_stride
-        return (-(-h // s), -(-w // s))
 
 
 def channel_linear(x: Tensor, layer: "Dense") -> Tensor:
@@ -290,15 +274,17 @@ class FocalNet(Module):
         self.final_norm = ChannelNorm(dims[-1], config.norm_eps, dtype)
         self.head = Dense(dims[-1], config.num_classes, rng, dtype, bias=False)
 
-    @property
-    def total_stride(self) -> int:
-        return self.config.patch_size * (2 ** (len(self.config.stage_depths) - 1))
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def forward_features(self, x, cache_modulator: bool = False):
-        """Backbone up to pooled features [B, C]; returns (features, cache).
+    def forward_features(self, x):
+        """Backbone up to pooled features [B, C]; returns (features, modulator).
+
+        The modulator is the last block's [B, C, h, w] activation array
+        itself, not a copy: callers read it and never write to it, as with
+        `.grad`. Each patch embedding pads its input up to a multiple of its
+        stride, so for the total stride s, h = ceil(H / s) and w = ceil(W / s):
+        every cell covers some of the unpadded input.
 
         `x` is a plain array, wrapped here once with its dtype kept, or a
         `Tensor`. A single input [3, H, W] is a batch of one (through
@@ -309,30 +295,17 @@ class FocalNet(Module):
             x = T.reshape(x, (1, *x.shape))
         if x.ndim != 4 or x.shape[1] != self.IN_CHANNELS:
             raise ValueError(f"expected input [B, 3, H, W] or [3, H, W], got {x.shape}")
-        input_hw = (x.shape[-2], x.shape[-1])
         x = self.stem(x)
         check_finite(x.data, "stem")
-        modulator = None
-        last_stage = len(self.stages) - 1
         for i, stage in enumerate(self.stages):
             for j, block in enumerate(stage.blocks):
-                x, m = block(x)
+                x, modulator = block(x)
                 check_finite(x.data, f"stage {i} block {j}")
-                if i == last_stage:
-                    modulator = m
             if i < len(self.downsamples):
                 x = self.downsamples[i](x)
                 check_finite(x.data, f"downsample {i}")
         x = self.final_norm(x)
-        feats = T.global_avg_pool(x)
-        cache = None
-        if cache_modulator:
-            cache = ModulatorCache(
-                modulator=np.array(modulator.data, copy=True),
-                input_hw=input_hw,
-                total_stride=self.total_stride,
-            )
-        return feats, cache
+        return T.global_avg_pool(x), modulator.data
 
     def logits_from_features(self, feats: Tensor) -> Tensor:
         """Scaled cosine similarity against the head's class-weight rows."""
@@ -340,9 +313,10 @@ class FocalNet(Module):
         wn = _l2_normalize(self.head.weight)
         return T.linear(fn, wn) * self.dtype(self.config.logit_scale)
 
-    def forward(self, x, cache_modulator: bool = False):
-        feats, cache = self.forward_features(x, cache_modulator=cache_modulator)
-        return self.logits_from_features(feats), cache
+    def forward(self, x):
+        """Returns (logits [B, K], modulator), the modulator as in `forward_features`."""
+        feats, modulator = self.forward_features(x)
+        return self.logits_from_features(feats), modulator
 
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities [B, K]."""

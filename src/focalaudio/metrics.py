@@ -5,18 +5,19 @@ unchanged when the classifier sees the interpretation instead of the input.
 Faithfulness (FA) is the drop in predicted-class probability when the
 interpretation is removed from the input. Both are computed in
 log-spectrogram space: the interpretation is `log_mag * mask`, its removal
-is `log_mag * (1 - mask)`, and each goes through the identical
-resize/standardize path as the original input.
+is `log_mag * (1 - mask)`, both made by `interpret.apply_mask` from the one
+uint8 mask, and each goes through the identical resize/standardize path as
+the original input.
 
 `evaluate` is the one evaluation path: it returns a record per (clip, q)
 and `quantile_sweep` averages those records per q into a `SweepResult`.
 Neither writes files; serializing results is left to the caller. `evaluate`
 runs two batched steps of no_grad forwards, each in chunks of at most 16
-inputs: first the clips themselves, caching the modulator that gives each
-clip's map; then every clip's 2·|q| interpretation and removal inputs. For
-n clips that is ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch`
-and `training.evaluate_accuracy` use the same chunked forward loop; the
-latter scores with `accuracy`.
+inputs: first the clips themselves, whose forwards also return the
+modulator that gives each clip's map; then every clip's 2·|q|
+interpretation and removal inputs. For n clips that is ceil(n/16) +
+ceil(2·|q|·n/16) forwards. `predict_batch` and `training.evaluate_accuracy`
+use the same chunked forward loop; the latter scores with `accuracy`.
 
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
@@ -88,21 +89,19 @@ def accuracy(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def batched_logits(model, inputs, batch_size: int = 16, cache_modulator: bool = False):
+def batched_logits(model, inputs, batch_size: int = 16):
     """Logits [N, K] of `inputs`, an iterable of [3, S, S] model inputs,
     from no_grad forwards of at most `batch_size` stacked inputs. Returns
-    (logits, maps): with `cache_modulator`, one modulation map per input,
-    otherwise an empty list."""
+    (logits, maps): `maps` holds one [h, w] modulation map per input."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     logits, maps = [], []
     inputs = iter(inputs)
     while chunk := list(islice(inputs, batch_size)):
         with T.no_grad():
-            out, cache = model.forward(np.stack(chunk), cache_modulator=cache_modulator)
+            out, modulator = model.forward(np.stack(chunk))
         logits.append(out.data)
-        if cache_modulator:
-            maps += modulation_map(cache)
+        maps.extend(modulation_map(modulator))
     if not logits:
         return np.empty((0, model.config.num_classes), dtype=model.dtype), maps
     return np.concatenate(logits), maps
@@ -135,8 +134,7 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
         clip_ids = [f"clip{i}" for i in range(len(clips))]
     if len(clip_ids) != len(clips):
         raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
-    logits, maps = batched_logits(
-        model, (to_model_input(s, out=input_size) for s in clips), cache_modulator=True)
+    logits, maps = batched_logits(model, (to_model_input(s, out=input_size) for s in clips))
     probs = _probs(logits)
     preds = np.argmax(probs, axis=-1)
 
@@ -144,10 +142,8 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
         # per clip and q: the interpretation, then its removal
         for spec, mmap in zip(clips, maps):
             for mask in threshold_mask(mmap, qs, spec.log_mag.shape):
-                interp = apply_mask(spec, mask, mode="for_model")
-                removal = spec.copy_with((spec.log_mag * (1 - mask.mask)).astype(np.float32))
-                yield to_model_input(interp, out=input_size)
-                yield to_model_input(removal, out=input_size)
+                yield to_model_input(apply_mask(spec, mask), out=input_size)
+                yield to_model_input(apply_mask(spec, 1 - mask), out=input_size)
 
     masked, _ = batched_logits(model, masked_inputs())
     masked = _probs(masked).reshape(len(clips), len(qs), 2, -1)

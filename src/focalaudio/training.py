@@ -107,9 +107,10 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
                     scale: float, clip_ids=None) -> Tensor:
     """Cross-entropy over scale * (cosine - margin at the true class).
 
-    Features and class weights are L2-normalized internally. A missing or
-    out-of-range label is a `ValueError` and a zero-norm feature row a
-    numerical error, each naming the clip id when given, else the batch row.
+    Features and class weights are L2-normalized internally. A missing,
+    fractional or out-of-range label is a `ValueError` and a zero-norm
+    feature row a numerical error, each naming the clip id when given, else
+    the batch row.
     """
     if margin < 0 or scale <= 0:
         raise ValueError("margin must be >= 0 and scale > 0")
@@ -120,12 +121,17 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
         return f"clip {clip_ids[row]}" if clip_ids is not None else f"batch row {row}"
 
     rows, classes = features.shape[0], class_weights.shape[0]
-    labels = np.asarray(labels, dtype=np.int64)
+    given = np.asarray(labels)
+    with np.errstate(invalid="ignore"):  # a NaN label is reported below, not warned about
+        labels = given.astype(np.int64)
     if labels.ndim != 1 or labels.size > rows:
         raise ValueError(f"labels of shape {labels.shape} for {rows} feature rows")
     if labels.size < rows:
         raise ValueError(f"no label for {who(labels.size)}: {labels.size} labels "
                          f"for {rows} feature rows")
+    bad = np.flatnonzero(labels != given)
+    if bad.size:
+        raise ValueError(f"label {given[bad[0]]} of {who(bad[0])} is not a whole number")
     bad = np.flatnonzero((labels < 0) | (labels >= classes))
     if bad.size:
         raise ValueError(f"label {labels[bad[0]]} of {who(bad[0])} is outside "

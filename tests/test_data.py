@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from focalaudio import data
-from focalaudio.audio import Waveform, save_wav
+from focalaudio.audio import FrontendConfig, Waveform, save_wav
 
 HEADER = ["filename", "fold", "target", "category"]
 
@@ -93,9 +93,16 @@ class TestManifest:
         _, manifest = synthetic
         sizes = {name: len(manifest.split(name)) for name in ("train", "val", "test")}
         assert sizes == {"train": 12, "val": 4, "test": 4}
-        assert {r.fold for r in manifest.split("val")} == {data.VAL_FOLD}
+        assert {r.fold for r in manifest.split("val")} == set(data.SPLIT_FOLDS["val"])
 
     def test_unknown_split_rejected(self, synthetic):
         _, manifest = synthetic
         with pytest.raises(ValueError, match="unknown split 'dev'"):
             manifest.split("dev")
+
+    def test_empty_split_names_itself(self, tmp_path):
+        # two clips per class fill folds 1 and 2 only
+        manifest = data.generate_synthetic_dataset(tmp_path, clips_per_class=2, seconds=0.1,
+                                                   sample_rate=8000, seed=0)
+        with pytest.raises(ValueError, match=r"no clips in split 'val', folds \[4\]"):
+            data.load_split(manifest, "val", FrontendConfig())

@@ -223,7 +223,7 @@ class TestFocalNetForward:
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
         x = Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32), requires_grad=True)
         t0 = time.perf_counter()
-        logits, cache = net.forward(x, cache_modulator=True)
+        logits, _ = net.forward(x)
         loss = (logits * logits).sum()
         backward(loss)
         elapsed = time.perf_counter() - t0
@@ -260,25 +260,24 @@ class TestFocalNetForward:
     def test_modulator_cache_shape(self):
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
         with no_grad():
-            _, cache = net.forward(Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32)),
-                                   cache_modulator=True)
+            _, modulator = net.forward(Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32)))
         # stride 4 then 2: 32 -> 8 -> 4, final dim 16
-        assert cache.modulator.shape == (1, 16, 4, 4)
-        assert cache.valid_hw == (4, 4)
-
-    def test_cache_none_when_disabled(self):
-        net = FocalNet(FocalNetConfig.tiny(), seed=0)
-        with no_grad():
-            _, cache = net.forward(Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32)))
-        assert cache is None
+        assert modulator.shape == (1, 16, 4, 4)
 
     def test_padding_provenance(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=0)
         with no_grad():
-            _, cache = net.forward(Tensor(RNG.standard_normal((3, 33, 33)).astype(np.float32)),
-                                   cache_modulator=True)
-        assert cache.modulator.shape[-2:] == (5, 5)
-        assert cache.valid_hw == (5, 5)
+            _, modulator = net.forward(Tensor(RNG.standard_normal((3, 33, 33)).astype(np.float32)))
+        assert modulator.shape[-2:] == (5, 5)
+
+    @pytest.mark.parametrize("hw", [(9, 9), (17, 33), (31, 50), (45, 23)])
+    def test_modulator_cells_cover_the_unpadded_input(self, hw):
+        # each patch embedding pads up to its stride, and the nested ceilings
+        # compose: the total stride 8 gives ceil(h / 8) x ceil(w / 8) cells
+        net = FocalNet(FocalNetConfig.tiny(), seed=0)
+        with no_grad():
+            _, modulator = net.forward(RNG.standard_normal((1, 3, *hw)).astype(np.float32))
+        assert modulator.shape[-2:] == (-(-hw[0] // 8), -(-hw[1] // 8))
 
     def test_forward_deterministic_bitwise(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=3)
@@ -355,10 +354,10 @@ class TestDefaultConfig:
                 if i < len(net.downsamples):
                     h = net.downsamples[i](h)
                     shapes.append(h.shape[-2:])
-            logits, cache = net.forward(x, cache_modulator=True)
+            logits, modulator = net.forward(x)
         assert shapes == [(56, 56), (28, 28), (14, 14), (7, 7)]
         assert logits.shape == (1, 50)
-        assert cache.modulator.shape == (1, 1024, 7, 7)
+        assert modulator.shape == (1, 1024, 7, 7)
 
 
 class TestConfig:

@@ -1,18 +1,12 @@
-"""Mask path: modulation maps (single and batched), quantile thresholding
-and masking for listening."""
+"""Mask path: modulation maps (single and batched), quantile thresholding,
+masking for the model and for listening."""
 
 import numpy as np
 import pytest
 
 from focalaudio.audio import Waveform, istft_reconstruct, stft
 from focalaudio.focalnet import FocalNet, FocalNetConfig
-from focalaudio.interpret import (
-    InterpretationMask,
-    ModulationMap,
-    apply_mask,
-    modulation_map,
-    threshold_mask,
-)
+from focalaudio.interpret import apply_mask, modulation_map, threshold_mask
 from focalaudio.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(11)
@@ -25,40 +19,61 @@ def tone_spectrogram():
 
 class TestThresholdMask:
     def test_retained_fraction_close_to_one_minus_q(self):
-        m = ModulationMap(values=RNG.uniform(0.0, 2.0, (12, 12)))
         qs = (0.0, 0.25, 0.5, 0.9)
-        masks = threshold_mask(m, qs, (513, 87))
-        assert [mk.quantile_order for mk in masks] == list(qs)
+        masks = threshold_mask(RNG.uniform(0.0, 2.0, (12, 12)), qs, (513, 87))
+        assert masks.shape == (len(qs), 513, 87) and masks.dtype == np.uint8
         cells = 513 * 87
-        for q, mk in zip(qs, masks):
-            assert mk.mask.shape == (513, 87)
-            assert abs(mk.retained_fraction - (1.0 - q)) <= 2.0 / cells, q
-        assert masks[0].mask.all()  # q = 0 keeps every cell
+        for q, mk in zip(qs, masks):  # one mask per q, in the order given
+            assert abs(mk.mean() - (1.0 - q)) <= 2.0 / cells, q
+        assert masks[0].all()  # q = 0 keeps every cell
         for lo, hi in zip(masks, masks[1:]):  # a higher q keeps a subset
-            assert lo.threshold <= hi.threshold
-            assert (hi.mask <= lo.mask).all()
+            assert (hi <= lo).all()
 
     def test_constant_map_keeps_everything(self):
-        masks = threshold_mask(ModulationMap(values=np.ones((3, 4))), (0.5, 0.99), (20, 10))
-        assert all(mk.mask.all() for mk in masks)
+        masks = threshold_mask(np.ones((3, 4)), (0.5, 0.99), (20, 10))
+        assert masks.all()
 
     @pytest.mark.parametrize("qs", [(0.5, 1.5), (-0.1,), 0.5])
     def test_rejects_bad_orders(self, qs):
         with pytest.raises(ValueError, match="quantile orders"):
-            threshold_mask(ModulationMap(values=np.ones((3, 3))), qs, (6, 6))
+            threshold_mask(np.ones((3, 3)), qs, (6, 6))
+
+    @pytest.mark.parametrize("m", [np.ones((2, 3, 3)), np.full((3, 3), -1.0)], ids=["3d", "negative"])
+    def test_rejects_maps_other_than_nonnegative_2d(self, m):
+        with pytest.raises(ValueError, match="nonnegative \\[h, w\\] array"):
+            threshold_mask(m, (0.5,), (6, 6))
 
 
 def test_mask_entries_other_than_zero_and_one_are_rejected():
-    mask = np.ones((4, 5), dtype=np.uint8)
-    InterpretationMask(mask, 0.5, 1.0)
+    spec = tone_spectrogram()
+    mask = np.ones(spec.log_mag.shape, dtype=np.uint8)
+    apply_mask(spec, mask)
     mask[2, 3] = 2
-    with pytest.raises(ValueError, match="0 or 1"):
-        InterpretationMask(mask, 0.5, 1.0)
+    for mode in ("for_model", "for_listening"):
+        with pytest.raises(ValueError, match="0 or 1"):
+            apply_mask(spec, mask, mode=mode)
+
+
+def test_mask_of_another_shape_is_rejected():
+    spec = tone_spectrogram()
+    rows, cols = spec.log_mag.shape
+    with pytest.raises(ValueError, match="mask shape"):
+        apply_mask(spec, np.ones((rows, cols - 1), dtype=np.uint8))
+
+
+def test_interpretation_and_removal_partition_the_spectrogram():
+    spec = tone_spectrogram()
+    mask = RNG.integers(0, 2, spec.log_mag.shape).astype(np.uint8)
+    kept = apply_mask(spec, mask).log_mag
+    removed = apply_mask(spec, 1 - mask).log_mag
+    # each cell is kept by exactly one of the two, so the sum is exact
+    np.testing.assert_array_equal(kept + removed, spec.log_mag)
+    assert ((kept == 0) | (removed == 0)).all()
 
 
 def test_all_masked_listening_spectrogram_is_silent():
     spec = tone_spectrogram()
-    none_kept = InterpretationMask(np.zeros(spec.log_mag.shape, dtype=np.uint8), 1.0, np.inf)
+    none_kept = np.zeros(spec.log_mag.shape, dtype=np.uint8)
     masked = apply_mask(spec, none_kept, mode="for_listening")
     back = istft_reconstruct(masked.log_mag, masked.phase, masked.params)
     full = istft_reconstruct(spec.log_mag, spec.phase, spec.params)
@@ -71,15 +86,11 @@ class TestModulationMap:
         model = FocalNet(FocalNetConfig.tiny(4), seed=0)
         x = RNG.standard_normal((3, 3, 30, 28)).astype(np.float32)
         with no_grad():
-            _, cache = model.forward(Tensor(x), cache_modulator=True)
-            maps = modulation_map(cache)
-            singles = [modulation_map(model.forward(Tensor(xi), cache_modulator=True)[1])[0]
-                       for xi in x]
-        assert len(maps) == 3
+            _, modulator = model.forward(Tensor(x))
+            maps = modulation_map(modulator)
+            singles = [modulation_map(model.forward(Tensor(xi))[1])[0] for xi in x]
+        # stride 8 over 30 x 28: ceil(30 / 8) x ceil(28 / 8) cells
+        assert maps.shape == (3, 4, 4) and maps.dtype == np.float64
         for batched, single in zip(maps, singles, strict=True):
-            assert batched.values.shape == single.values.shape == cache.valid_hw
-            np.testing.assert_allclose(batched.values, single.values, rtol=1e-5, atol=1e-7)
-
-    def test_missing_cache_raises(self):
-        with pytest.raises(ValueError, match="cache_modulator"):
-            modulation_map(None)
+            assert single.shape == (4, 4)
+            np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-7)

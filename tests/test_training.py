@@ -98,8 +98,11 @@ class TestAmSoftmaxLoss:
         ([0, 1, 2], ["a", "b", "c", "d", "e"], "no label for clip d: 3 labels for 5 feature rows"),
         ([0, 1, 2], None, "no label for batch row 3"),
         ([0, 1, 2, 3, 0, 1], None, "labels of shape \\(6,\\) for 5 feature rows"),
+        ([0, 1, 2.7, 3, 0], ["a", "b", "c", "d", "e"], "label 2.7 of clip c is not a whole number"),
+        (np.array([0.9, 1, 2, 3, 0]), None, "label 0.9 of batch row 0 is not a whole number"),
+        ([0, 1, 2, np.nan, 0], None, "label nan of batch row 3 is not a whole number"),
     ], ids=["negative", "esc50_label_on_4_classes", "k_without_ids", "short_list", "short_list_without_ids",
-            "long_list"])
+            "long_list", "fractional", "fractional_without_ids", "nan"])
     def test_bad_labels_name_the_clip(self, labels, clip_ids, check):
         feats, weights = self.features_and_weights()
         with pytest.raises(ValueError, match=check):
