@@ -16,7 +16,7 @@ len(samples) // hop``. With the defaults (16 kHz, n_fft 1024, 23 ms window,
 11.625 ms hop = 186 samples) a 5 s clip maps to exactly 513 x 431 cells.
 A literal 11 ms hop (176 samples) would give 455 frames and contradict the
 published spectrogram size, so the default hop is the one that reproduces
-it; both are accepted as parameters.
+it; both are accepted as `FrontendConfig` values.
 
 Bilinear resizing (the input shrink here, the mask upsampling in
 `interpret`) uses align-corners sampling: output corner pixels map onto
@@ -65,41 +65,6 @@ class Waveform:
 
 
 @dataclass(frozen=True)
-class StftParams:
-    n_fft: int
-    win_length: int
-    hop_length: int
-    eps: float
-    sample_rate: int
-    num_samples: int
-
-
-@dataclass
-class Spectrogram:
-    """Log-magnitude plus the phase needed to reconstruct a waveform."""
-
-    log_mag: np.ndarray
-    phase: np.ndarray
-    params: StftParams
-
-    def __post_init__(self):
-        expected = self.params.n_fft // 2 + 1
-        if self.log_mag.shape[0] != expected:
-            raise ValueError(
-                f"freq_bins {self.log_mag.shape[0]} != n_fft/2+1 = {expected}"
-            )
-        if self.log_mag.shape != self.phase.shape:
-            raise ValueError("log_mag and phase shapes differ")
-
-    @property
-    def freq_bins(self) -> int:
-        return self.log_mag.shape[0]
-
-    def copy_with(self, log_mag: np.ndarray) -> "Spectrogram":
-        return Spectrogram(log_mag=log_mag, phase=self.phase, params=self.params)
-
-
-@dataclass(frozen=True)
 class FrontendConfig:
     """Everything needed to map a clip to a model input, checkpointable."""
 
@@ -109,6 +74,40 @@ class FrontendConfig:
     hop_ms: float = 11.625
     eps: float = LOG_EPS
     input_size: int = 224
+
+    def __post_init__(self):
+        if self.win_length > self.n_fft:
+            raise ConfigError(f"window of {self.win_length} samples exceeds n_fft {self.n_fft}")
+        if self.hop_length < 1:
+            raise ConfigError("hop must be at least one sample")
+
+    @property
+    def win_length(self) -> int:
+        return round(self.win_ms * self.sample_rate / 1000.0)
+
+    @property
+    def hop_length(self) -> int:
+        return round(self.hop_ms * self.sample_rate / 1000.0)
+
+
+@dataclass
+class Spectrogram:
+    """Log-magnitude and phase of a clip of `num_samples` samples, with the
+    `frontend` that made them; `istft_reconstruct` inverts with it."""
+
+    log_mag: np.ndarray
+    phase: np.ndarray
+    frontend: FrontendConfig
+    num_samples: int
+
+    def __post_init__(self):
+        expected = self.frontend.n_fft // 2 + 1
+        if self.log_mag.shape[0] != expected:
+            raise ValueError(
+                f"freq_bins {self.log_mag.shape[0]} != n_fft/2+1 = {expected}"
+            )
+        if self.log_mag.shape != self.phase.shape:
+            raise ValueError("log_mag and phase shapes differ")
 
 
 # ---------------------------------------------------------------------------
@@ -235,54 +234,46 @@ def _padded_window(win_length: int, n_fft: int) -> np.ndarray:
     return np.pad(w, (lead, n_fft - win_length - lead))
 
 
-def stft(w: Waveform, n_fft: int = 1024, win_ms: float = 23.0,
-         hop_ms: float = 11.625, eps: float = LOG_EPS) -> Spectrogram:
+def stft(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Spectrogram:
     """Centered STFT with reflect padding; see module docstring for the
-    frame-count convention."""
-    win_length = round(win_ms * w.sample_rate / 1000.0)
-    hop_length = round(hop_ms * w.sample_rate / 1000.0)
-    if win_length > n_fft:
-        raise ConfigError(f"window of {win_length} samples exceeds n_fft {n_fft}")
-    if hop_length < 1:
-        raise ConfigError("hop must be at least one sample")
-    if w.samples.size < win_length:
+    frame-count convention. The clip must already be at `cfg.sample_rate`."""
+    if w.sample_rate != cfg.sample_rate:
         raise ValueError(
-            f"clip of {w.samples.size} samples is shorter than one window ({win_length})"
+            f"clip at {w.sample_rate} Hz, frontend at {cfg.sample_rate} Hz; resample first"
         )
-    params = StftParams(
-        n_fft=n_fft, win_length=win_length, hop_length=hop_length, eps=eps,
-        sample_rate=w.sample_rate, num_samples=int(w.samples.size),
-    )
-    window = _padded_window(win_length, n_fft)
-    half = n_fft // 2
+    if w.samples.size < cfg.win_length:
+        raise ValueError(
+            f"clip of {w.samples.size} samples is shorter than one window ({cfg.win_length})"
+        )
+    window = _padded_window(cfg.win_length, cfg.n_fft)
+    half = cfg.n_fft // 2
     x = np.pad(w.samples.astype(np.float64), half, mode="reflect")
-    n_frames = 1 + w.samples.size // hop_length
-    starts = np.arange(n_frames) * hop_length
-    frames = np.lib.stride_tricks.sliding_window_view(x, n_fft)[starts] * window
+    n_frames = 1 + w.samples.size // cfg.hop_length
+    starts = np.arange(n_frames) * cfg.hop_length
+    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[starts] * window
     spec = np.fft.rfft(frames, axis=1).T  # [freq_bins, frames]
-    log_mag = np.log(np.abs(spec) + eps).astype(np.float32)
+    log_mag = np.log(np.abs(spec) + cfg.eps).astype(np.float32)
     phase = np.angle(spec).astype(np.float32)
-    return Spectrogram(log_mag=log_mag, phase=phase, params=params)
+    return Spectrogram(log_mag=log_mag, phase=phase, frontend=cfg,
+                       num_samples=int(w.samples.size))
 
 
-def istft_reconstruct(log_mag: np.ndarray, phase: np.ndarray, params: StftParams) -> Waveform:
-    """Overlap-add inverse with window-sum normalization.
+def istft_reconstruct(spec: Spectrogram) -> Waveform:
+    """Overlap-add inverse with window-sum normalization, at the geometry and
+    rate of the frontend that made `spec`.
 
     Masked-out cells floored at log(eps) synthesize as (near) zero magnitude,
     so an all-masked spectrogram reconstructs as silence. A window/hop pair
     whose squared-window envelope has holes inside the clip raises
     `ConfigError`.
     """
-    if log_mag.shape != phase.shape:
-        raise ValueError("log_mag and phase shapes differ")
-    if log_mag.shape[0] != params.n_fft // 2 + 1:
-        raise ValueError("spectrogram does not match stft params")
-    mag = np.exp(log_mag.astype(np.float64)) - params.eps
+    cfg, num_samples = spec.frontend, spec.num_samples
+    mag = np.exp(spec.log_mag.astype(np.float64)) - cfg.eps
     np.clip(mag, 0.0, None, out=mag)
-    spec = mag * np.exp(1j * phase.astype(np.float64))
-    frames = np.fft.irfft(spec.T, n=params.n_fft, axis=1)
-    window = _padded_window(params.win_length, params.n_fft)
-    hop, n_fft = params.hop_length, params.n_fft
+    z = mag * np.exp(1j * spec.phase.astype(np.float64))
+    frames = np.fft.irfft(z.T, n=cfg.n_fft, axis=1)
+    window = _padded_window(cfg.win_length, cfg.n_fft)
+    hop, n_fft = cfg.hop_length, cfg.n_fft
     half = n_fft // 2
     total = (frames.shape[0] - 1) * hop + n_fft
     wsq = window * window
@@ -291,16 +282,16 @@ def istft_reconstruct(log_mag: np.ndarray, phase: np.ndarray, params: StftParams
     for i in range(frames.shape[0]):
         y[i * hop : i * hop + n_fft] += frames[i] * window
         env[i * hop : i * hop + n_fft] += wsq
-    if env[half : half + params.num_samples].min() < 1e-10:
+    if env[half : half + num_samples].min() < 1e-10:
         raise ConfigError(
             "window/hop combination violates the nonzero-overlap-add condition; "
             "the inverse STFT would divide by ~0"
         )
     y /= np.maximum(env, 1e-12)
-    out = y[half : half + params.num_samples]
-    if out.size < params.num_samples:
-        out = np.pad(out, (0, params.num_samples - out.size))
-    return Waveform(np.clip(out, -1.0, 1.0).astype(np.float32), params.sample_rate)
+    out = y[half : half + num_samples]
+    if out.size < num_samples:
+        out = np.pad(out, (0, num_samples - out.size))
+    return Waveform(np.clip(out, -1.0, 1.0).astype(np.float32), cfg.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +332,7 @@ def bilinear_resize_array(data: np.ndarray, out_h: int, out_w: int) -> np.ndarra
 # model input packing and augmentation
 # ---------------------------------------------------------------------------
 
-def to_model_input(s: Spectrogram, out: int = 224) -> np.ndarray:
+def to_model_input(s: Spectrogram, out: int) -> np.ndarray:
     """Shrink to out x out, standardize per input, stack 3 identical channels
     into a [3, out, out] float32 array."""
     resized = bilinear_resize_array(s.log_mag.astype(np.float32), out, out)
@@ -358,7 +349,7 @@ def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarra
     """Full clip-to-input path: resample, STFT, pack."""
     if w.sample_rate != cfg.sample_rate:
         w = resample(w, cfg.sample_rate)
-    spec = stft(w, n_fft=cfg.n_fft, win_ms=cfg.win_ms, hop_ms=cfg.hop_ms, eps=cfg.eps)
+    spec = stft(w, cfg)
     return spec, to_model_input(spec, out=cfg.input_size)
 
 

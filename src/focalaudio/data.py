@@ -187,7 +187,11 @@ def load_split(manifest: DatasetManifest, split_name: str, frontend: FrontendCon
         raise ValueError(f"no clips in split {split_name!r}, folds {list(SPLIT_FOLDS[split_name])}")
     inputs, labels, ids, specs = [], [], [], []
     for r in records:
-        spec, x = preprocess(load_wav(r.path), frontend)
+        wav = load_wav(r.path)
+        try:
+            spec, x = preprocess(wav, frontend)
+        except ValueError as e:
+            raise ValueError(f"clip {r.clip_id} ({r.path}): {e}") from e
         inputs.append(x)
         labels.append(r.label)
         ids.append(r.clip_id)

@@ -10,10 +10,13 @@ multiplies the log-spectrogram ("for_model" mode, what the metrics evaluate,
 for the interpretation and, with `1 - mask`, for its removal) or floors
 masked cells to silence ("for_listening" mode, what gets reconstructed into
 a playable waveform). `listenable_interpretation` runs that whole path for
-one clip and returns the waveform; `audio.save_wav` writes it.
+one clip and returns the waveform, `istft_reconstruct(spec)` of the listening
+spectrogram; `audio.save_wav` writes it.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,10 +60,10 @@ def apply_mask(s: Spectrogram, mask: np.ndarray, mode: str = "for_model") -> Spe
     if mode == "for_model":
         out = s.log_mag * mask
     elif mode == "for_listening":
-        out = np.where(mask == 1, s.log_mag, np.float32(np.log(s.params.eps)))
+        out = np.where(mask == 1, s.log_mag, np.float32(np.log(s.frontend.eps)))
     else:
         raise ValueError(f"unknown masking mode {mode!r}")
-    return s.copy_with(out.astype(np.float32))
+    return replace(s, log_mag=out.astype(np.float32))
 
 
 def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
@@ -69,5 +72,4 @@ def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Wave
     with no_grad():
         _, modulator = model.forward(x)
     [mask] = threshold_mask(modulation_map(modulator)[0], [q], spec.log_mag.shape)
-    masked = apply_mask(spec, mask, mode="for_listening")
-    return istft_reconstruct(masked.log_mag, masked.phase, masked.params)
+    return istft_reconstruct(apply_mask(spec, mask, mode="for_listening"))

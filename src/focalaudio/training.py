@@ -279,18 +279,18 @@ def evaluate_accuracy(model: FocalNet, data: ClipSet, batch_size: int = 16) -> f
 
 
 def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
-        frontend: FrontendConfig | None = None, run_dir=None,
+        frontend: FrontendConfig, run_dir=None,
         start_epoch: int = 0, optimizer_state: AdamState | None = None) -> FitResult:
     """Epoch loop with augmentation (training only), per-epoch validation
     accuracy and best-on-validation checkpointing. Deterministic given the
     config seed; supports resuming via `start_epoch` + `optimizer_state`.
+    `frontend` is the config that made the inputs; every checkpoint records it.
 
     Each step logs `step`, `lr`, `loss` and `grad_norm`, which are
     deterministic, plus `step_s` (wall time of forward, backward and
     optimizer step, augmentation excluded) and `clips_per_s` (batch clips
     over `step_s`), which are not.
     """
-    frontend = frontend or FrontendConfig(input_size=train.inputs.shape[-1])
     params = dict(model.named_parameters())
     state = optimizer_state or AdamState()
     history: list = []

@@ -3,6 +3,7 @@ contract (513x431 for 5 s at 16 kHz), inverse-STFT reconstruction quality,
 bilinear resizing, input packing and augmentation determinism."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,13 +156,13 @@ class TestStft:
         w = sine(500, 5.0, 16000)
         s = stft(w)
         assert s.log_mag.shape == (513, 431)
-        assert s.freq_bins == s.params.n_fft // 2 + 1
+        assert s.log_mag.shape[0] == s.frontend.n_fft // 2 + 1
 
     def test_freq_bins_invariant_other_configs(self):
         w = sine(500, 1.0, 16000)
         for n_fft, win_ms, hop_ms in ((256, 10.0, 5.0), (512, 20.0, 10.0), (2048, 23.0, 11.625)):
-            s = stft(w, n_fft=n_fft, win_ms=win_ms, hop_ms=hop_ms)
-            assert s.freq_bins == n_fft // 2 + 1
+            s = stft(w, FrontendConfig(n_fft=n_fft, win_ms=win_ms, hop_ms=hop_ms))
+            assert s.log_mag.shape[0] == n_fft // 2 + 1
 
     def test_pure_sine_bin(self):
         s = stft(sine(2000, 5.0, 16000))
@@ -179,7 +180,7 @@ class TestStft:
     def test_all_zero_input(self):
         w = Waveform(np.zeros(16000, dtype=np.float32), 16000)
         s = stft(w)
-        np.testing.assert_allclose(s.log_mag, np.log(s.params.eps), atol=1e-4)
+        np.testing.assert_allclose(s.log_mag, np.log(s.frontend.eps), atol=1e-4)
 
     def test_clip_shorter_than_the_centering_pad(self):
         # 400 samples against a 512-sample reflect pad on each side
@@ -192,6 +193,16 @@ class TestStft:
         with pytest.raises(ValueError, match="shorter"):
             stft(Waveform(np.zeros(100, dtype=np.float32), 16000))
 
+    def test_clip_at_another_rate_rejected(self):
+        with pytest.raises(ValueError, match="44100 Hz.*16000 Hz"):
+            stft(sine(440, 0.5, 44100))
+
+    @pytest.mark.parametrize("cfg", [dict(n_fft=256, win_ms=100.0), dict(hop_ms=0.01)],
+                             ids=["window_over_n_fft", "hop_under_one_sample"])
+    def test_impossible_frontend_rejected(self, cfg):
+        with pytest.raises(ConfigError):
+            FrontendConfig(**cfg)
+
 
 class TestIstft:
     def test_round_trip_snr_over_seeds(self):
@@ -200,15 +211,15 @@ class TestIstft:
             rng = np.random.default_rng(seed)
             w = Waveform(rng.uniform(-0.8, 0.8, 16000).astype(np.float32), 16000)
             s = stft(w)
-            back = istft_reconstruct(s.log_mag, s.phase, s.params)
+            back = istft_reconstruct(s)
             worst = min(worst, snr_db(w.samples.astype(np.float64), back.samples.astype(np.float64)))
         assert worst >= 30.0
 
     def test_all_masked_is_silent(self):
         w = sine(500, 1.0, 16000, amp=0.8)
         s = stft(w)
-        floored = np.full_like(s.log_mag, np.log(s.params.eps))
-        back = istft_reconstruct(floored, s.phase, s.params)
+        floored = np.full_like(s.log_mag, np.log(s.frontend.eps))
+        back = istft_reconstruct(replace(s, log_mag=floored))
         rms_orig = np.sqrt(np.mean(w.samples**2))
         rms_back = np.sqrt(np.mean(back.samples**2))
         assert rms_back < 1e-3 * rms_orig
@@ -216,17 +227,26 @@ class TestIstft:
     def test_doubling_magnitude_doubles_rms(self):
         w = sine(700, 1.0, 16000, amp=0.2)
         s = stft(w)
-        base = istft_reconstruct(s.log_mag, s.phase, s.params)
-        doubled = istft_reconstruct(s.log_mag + np.float32(np.log(2.0)), s.phase, s.params)
+        base = istft_reconstruct(s)
+        doubled = istft_reconstruct(replace(s, log_mag=s.log_mag + np.float32(np.log(2.0))))
         r = np.sqrt(np.mean(doubled.samples**2)) / np.sqrt(np.mean(base.samples**2))
         assert abs(r - 2.0) < 0.1
+
+    def test_preprocessed_clip_reconstructs_at_the_frontend_rate(self):
+        w = sine(440, 2.0, 44100)
+        spec, _ = preprocess(w, FrontendConfig(input_size=96))
+        back = istft_reconstruct(spec)
+        ref = resample(w, 16000)
+        assert back.sample_rate == 16000
+        assert back.samples.size == ref.samples.size == round(w.samples.size * 16000 / 44100)
+        assert snr_db(ref.samples.astype(np.float64), back.samples.astype(np.float64)) >= 30.0
 
     def test_nola_violation_raises(self):
         w = sine(500, 1.0, 16000)
         # 2 ms window with 20 ms hop leaves gaps between frames
         with pytest.raises(ConfigError):
-            s = stft(w, n_fft=1024, win_ms=2.0, hop_ms=20.0)
-            istft_reconstruct(s.log_mag, s.phase, s.params)
+            s = stft(w, FrontendConfig(n_fft=1024, win_ms=2.0, hop_ms=20.0))
+            istft_reconstruct(s)
 
 
 class TestBilinearResize:
@@ -275,7 +295,7 @@ class TestModelInput:
         # a square spectrogram already at target size only gets standardized:
         # n_fft 446 gives 224 bins; hop 64 over 14272 samples gives 224 frames
         w = sine(1500, 14272 / 16000, 16000)
-        s = stft(w, n_fft=446, win_ms=20.0, hop_ms=4.0)
+        s = stft(w, FrontendConfig(n_fft=446, win_ms=20.0, hop_ms=4.0))
         assert s.log_mag.shape == (224, 224)
         x = to_model_input(s, out=224)[0]
         ref = (s.log_mag - s.log_mag.mean()) / s.log_mag.std()

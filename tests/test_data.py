@@ -106,3 +106,10 @@ class TestManifest:
                                                    sample_rate=8000, seed=0)
         with pytest.raises(ValueError, match=r"no clips in split 'val', folds \[4\]"):
             data.load_split(manifest, "val", FrontendConfig())
+
+    def test_clip_failing_preprocessing_is_named(self, tmp_path):
+        meta = write_meta(tmp_path, [("short.wav", 4, 0, "dog")], audio=("short.wav",))
+        manifest = data.ingest(tmp_path, meta, num_classes=4)
+        with pytest.raises(ValueError, match=r"clip short \(.*short\.wav\): clip of 160 samples "
+                                             r"is shorter than one window \(368\)"):
+            data.load_split(manifest, "val", FrontendConfig())

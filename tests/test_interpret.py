@@ -75,8 +75,8 @@ def test_all_masked_listening_spectrogram_is_silent():
     spec = tone_spectrogram()
     none_kept = np.zeros(spec.log_mag.shape, dtype=np.uint8)
     masked = apply_mask(spec, none_kept, mode="for_listening")
-    back = istft_reconstruct(masked.log_mag, masked.phase, masked.params)
-    full = istft_reconstruct(spec.log_mag, spec.phase, spec.params)
+    back = istft_reconstruct(masked)
+    full = istft_reconstruct(spec)
     rms = lambda w: np.sqrt(np.mean(w.samples.astype(np.float64) ** 2))  # noqa: E731
     assert rms(back) < 1e-3 * rms(full)
 

@@ -43,7 +43,8 @@ class TestFitLog:
         train, val = tiny_fit_data()
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
         config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
-        res = training.fit(net, train, val, config, run_dir=tmp_path)
+        res = training.fit(net, train, val, config, frontend=FrontendConfig(input_size=32),
+                           run_dir=tmp_path)
         on_disk = [json.loads(s) for s in (tmp_path / "train_log.jsonl").read_text().splitlines()]
         assert on_disk == res.log_lines
         batches = [4, 2, 4, 2]
@@ -57,7 +58,7 @@ class TestFitLog:
         train, val = tiny_fit_data()
         net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
         config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
-        lines = training.fit(net, train, val, config).log_lines
+        lines = training.fit(net, train, val, config, frontend=FrontendConfig(input_size=32)).log_lines
         assert len(lines) == len(PINNED_LOG)
         for line, (step, lr, loss, gnorm) in zip(lines, PINNED_LOG):
             assert line["step"] == step
@@ -140,7 +141,7 @@ class TestTrainingDiverged:
         monkeypatch.setattr(training, "am_softmax_loss", nan_on_second_step)
         config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
         with pytest.raises(training.TrainingDiverged, match="epoch 0 step 1") as err:
-            training.fit(net, train, val, config)
+            training.fit(net, train, val, config, frontend=FrontendConfig(input_size=32))
         ckpt = err.value.checkpoint
         assert len(calls) == 2
         assert ckpt.optimizer.t == 1 and ckpt.history == []
@@ -214,7 +215,8 @@ def pinned_checkpoint():
 def fitted():
     train, val = tiny_fit_data()
     net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
-    res = training.fit(net, train, val, training.TrainConfig.desk(epochs=2, batch_size=4, seed=0))
+    res = training.fit(net, train, val, training.TrainConfig.desk(epochs=2, batch_size=4, seed=0),
+                       frontend=FrontendConfig(input_size=32))
     return net, res.last
 
 
@@ -277,11 +279,13 @@ class TestCheckpoint:
          "malformed header: TypeError.*momentum"),
         (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": 1.0}}),
          "malformed header: ValueError.*lr_min"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "frontend": {**h["frontend"], "win_ms": 100.0}}),
+         "malformed header: ConfigError.*1600 samples exceeds n_fft 1024"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
-            "header_not_an_object"])
+            "header_with_invalid_frontend", "header_not_an_object"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
