@@ -80,6 +80,13 @@ class FrontendConfig:
             raise ConfigError(f"window of {self.win_length} samples exceeds n_fft {self.n_fft}")
         if self.hop_length < 1:
             raise ConfigError("hop must be at least one sample")
+        # the 1 + N // hop centered frames reach a clip's last sample only
+        # when the hop is at most half a frame plus one
+        if self.hop_length > self.n_fft // 2 + 1:
+            raise ConfigError(
+                f"hop_length {self.hop_length} exceeds n_fft // 2 + 1 = {self.n_fft // 2 + 1}; "
+                "the frames would stop short of the clip's end"
+            )
 
     @property
     def win_length(self) -> int:
@@ -289,8 +296,6 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
         )
     y /= np.maximum(env, 1e-12)
     out = y[half : half + num_samples]
-    if out.size < num_samples:
-        out = np.pad(out, (0, num_samples - out.size))
     return Waveform(np.clip(out, -1.0, 1.0).astype(np.float32), cfg.sample_rate)
 
 

@@ -7,10 +7,9 @@ the training loss as one fused softmax cross-entropy, plus the ops between
 them (add, mul, div, sqrt, sum, indexing, reshaping, transposing,
 broadcasting and padding), each with a hand-written backward rule.
 Gradients are recorded on a tape of nodes ordered by creation, so `backward`
-is a single reverse sweep. Around the tape sit the parameter containers and
-the finite-difference oracle that checks the backward rules. Signal
-processing without gradients (the frontend, the masks) works on plain arrays
-in `audio` and `interpret`.
+is a single reverse sweep. Around the tape sit the parameter containers.
+Signal processing without gradients (the frontend, the masks) works on
+plain arrays in `audio` and `interpret`.
 
 Conventions fixed here:
 
@@ -18,7 +17,12 @@ Conventions fixed here:
   (pass ``dtype=np.float64`` to the factories or feed float64 arrays),
 * GeLU is the exact erf form, not the tanh approximation,
 * depth-wise convolution is a stride-1 cross-correlation with zero
-  same-padding,
+  same-padding. The forward copies the taps of the channel-major padded
+  input once into tap-major columns and contracts them with the kernel in
+  one batched product, so its output is stored [C, B, H, W]; the input
+  gradient is the same routine on the incoming gradient with the flipped
+  kernel, and the kernel gradient is reduced one contiguous tap slice at a
+  time,
 * parameters are initialized from a normal distribution with standard
   deviation 0.02, truncated at two standard deviations.
 """
@@ -26,7 +30,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -374,21 +378,50 @@ def gelu(x: Tensor) -> Tensor:
     return _attach(out, (x,), "gelu", bw)
 
 
-def _same_windows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero same-padded [B, C, H, W, kh, kw] window view of x [B, C, H, W]."""
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    return np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+def _padded_taps(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """x [B, C, H, W] zero-padded to [H + kh, Wp = W + kw - 1], channel-major.
+
+    Returns [C, B, (H + kh) * Wp] with each image flattened. Tap (u, v) of
+    every cell of the padded [H, Wp] output grid is then one contiguous run,
+    ``flat[:, :, off : off + H * Wp]`` with ``off = u * Wp + v``; the spare
+    row keeps the last tap in bounds. Grid columns W.. read wrapped values
+    and are dropped or zero-weighted by the caller.
+    """
+    B, C, H, W = x.shape
+    flat = np.zeros((C, B, H + kh, W + kw - 1), dtype=x.dtype)
+    flat[:, :, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W] = x.transpose(1, 0, 2, 3)
+    return flat.reshape(C, B, -1)
+
+
+def _correlate(flat: np.ndarray, k: np.ndarray, H: int, W: int) -> np.ndarray:
+    """Same-size depth-wise cross-correlation of `_padded_taps` output with
+    k [C, kh, kw]: the taps are copied once into tap-major columns
+    [C, kh*kw, B*H*Wp] and contracted with k in one batched product.
+    Returns [B, C, H, W] stored channel-major, [C, B, H, W]."""
+    C, B, _ = flat.shape
+    kh, kw = k.shape[1], k.shape[2]
+    wp = W + kw - 1
+    n = H * wp
+    cols = np.empty((C, kh * kw, B, n), dtype=flat.dtype)
+    for t, (u, v) in enumerate(itertools.product(range(kh), range(kw))):
+        off = u * wp + v
+        cols[:, t] = flat[:, :, off : off + n]
+    y = k.reshape(C, 1, kh * kw) @ cols.reshape(C, kh * kw, B * n)
+    y = np.ascontiguousarray(y.reshape(C, B, H, wp)[..., :W])
+    return y.transpose(1, 0, 2, 3)
 
 
 def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     """Depth-wise 2-d convolution: each channel sees only its own kernel.
 
     x: [B, C, H, W]; k: [C, kh, kw] with odd kh, kw. Spatial size is
-    preserved by zero same-padding. The padded window view of x serves both
-    the forward and the kernel gradient. The kernel gradient is reduced one
-    tap at a time: a single 6-d einsum over the view would first copy it
-    into a kh*kw times larger im2col array.
+    preserved by zero same-padding. The forward copies the kh*kw taps of the
+    channel-major padded input into tap-major columns and contracts them
+    with k in one batched product; the output is stored [C, B, H, W]. The
+    input gradient is the same routine applied to the incoming gradient with
+    the flipped kernel. The kernel gradient is reduced one tap at a time,
+    each tap a contiguous slice of the forward's padded input, so it makes
+    no window copy.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if k.ndim != 3:
@@ -400,18 +433,25 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
         raise ValueError(
             f"dwconv2d: input {x.shape} incompatible with kernel {k.shape}"
         )
-    win = _same_windows(x.data, kh, kw)
-    out = Tensor(np.einsum("bchwuv,cuv->bchw", win, k.data, optimize=True))
+    B, C, H, W = x.shape
+    flat = _padded_taps(x.data, kh, kw)
+    out = Tensor(_correlate(flat, k.data, H, W))
 
     def bw(g):
         if x.requires_grad:
-            gwin = _same_windows(g, kh, kw)
-            _accum(x, np.einsum("bchwuv,cuv->bchw", gwin, k.data[:, ::-1, ::-1], optimize=True))
+            kflip = np.ascontiguousarray(k.data[:, ::-1, ::-1])
+            _accum(x, _correlate(_padded_taps(g, kh, kw), kflip, H, W))
         if k.requires_grad:
+            wp = W + kw - 1
+            n = H * wp
+            gp = np.zeros((C, B, H, wp), dtype=g.dtype)
+            gp[..., :W] = g.transpose(1, 0, 2, 3)
+            gp = gp.reshape(C, B, n)
             gk = np.empty(k.shape, dtype=g.dtype)
             for u in range(kh):
                 for v in range(kw):
-                    gk[:, u, v] = np.einsum("bchw,bchw->c", win[..., u, v], g)
+                    off = u * wp + v
+                    gk[:, u, v] = np.einsum("cbn,cbn->c", flat[:, :, off : off + n], gp)
             _accum(k, gk)
 
     return _attach(out, (x, k), "dwconv2d", bw)
@@ -591,67 +631,3 @@ def ones_param(shape, dtype=DEFAULT_DTYPE) -> Tensor:
 def check_finite(data: np.ndarray, where: str) -> None:
     if not np.isfinite(data).all():
         raise NumericalError(f"non-finite values detected in {where}")
-
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-# ---------------------------------------------------------------------------
-
-def numeric_grad(fn: Callable[[], Tensor], t: Tensor, step: float = 1e-5,
-                 entries: Iterable[int] | None = None) -> np.ndarray:
-    """Central finite differences of a scalar-valued closure w.r.t. `t`.
-
-    Returns a flat array over the checked entries (all of them by default).
-    The closure is re-evaluated with the tape disabled.
-    """
-    idxs = list(range(t.data.size)) if entries is None else list(entries)
-    g = np.zeros(len(idxs), dtype=np.float64)
-    with no_grad():
-        for j, i in enumerate(idxs):
-            pos = np.unravel_index(i, t.data.shape)
-            orig = t.data[pos]
-            t.data[pos] = orig + step
-            fp = float(fn().data)
-            t.data[pos] = orig - step
-            fm = float(fn().data)
-            t.data[pos] = orig
-            g[j] = (fp - fm) / (2.0 * step)
-    return g
-
-
-def relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Norm-ratio error: ||a - b|| / max(||a|| + ||b||, tiny)."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    denom = np.linalg.norm(a) + np.linalg.norm(b)
-    if denom < 1e-12:
-        return 0.0
-    return float(np.linalg.norm(a - b) / denom)
-
-
-def gradient_check(fn: Callable[[], Tensor], tensors: dict[str, Tensor],
-                   step: float = 1e-5, max_entries: int | None = None,
-                   rng: np.random.Generator | None = None) -> dict[str, float]:
-    """Compare analytic gradients of fn() against central differences.
-
-    fn must rebuild the graph from the current tensor values on each call.
-    Returns the relative error per named tensor. When `max_entries` is set,
-    a seeded random subset of coordinates is checked per tensor.
-    """
-    for t in tensors.values():
-        t.grad = None
-    loss = fn()
-    backward(loss)
-    analytic = {k: (np.zeros_like(t.data) if t.grad is None else t.grad).reshape(-1).copy()
-                for k, t in tensors.items()}
-    errs = {}
-    for k, t in tensors.items():
-        n = t.data.size
-        if max_entries is not None and n > max_entries:
-            rng = rng or np.random.default_rng(0)
-            entries = sorted(rng.choice(n, size=max_entries, replace=False).tolist())
-        else:
-            entries = list(range(n))
-        num = numeric_grad(fn, t, step=step, entries=entries)
-        errs[k] = relative_error(analytic[k][entries], num)
-    return errs

@@ -241,6 +241,20 @@ class TestIstft:
         assert back.samples.size == ref.samples.size == round(w.samples.size * 16000 / 44100)
         assert snr_db(ref.samples.astype(np.float64), back.samples.astype(np.float64)) >= 30.0
 
+    def test_hop_over_half_a_frame_rejected(self):
+        # a 160-sample hop on 256-point frames: the 1 + 1100 // 160 = 7
+        # centered frames of a 1,100-sample clip end at sample 1,088
+        with pytest.raises(ConfigError, match=r"hop_length 160 exceeds n_fft // 2 \+ 1 = 129"):
+            FrontendConfig(n_fft=256, win_ms=16.0, hop_ms=10.0)
+
+    def test_largest_hop_reaches_the_clip_end(self):
+        cfg = FrontendConfig(n_fft=256, win_ms=16.0, hop_ms=8.0625)
+        assert cfg.hop_length == cfg.n_fft // 2 + 1
+        w = sine(440, 1100 / 16000, 16000)
+        back = istft_reconstruct(stft(w, cfg))
+        assert back.samples.size == w.samples.size == 1100
+        np.testing.assert_allclose(back.samples, w.samples, rtol=0, atol=1e-5)
+
     def test_nola_violation_raises(self):
         w = sine(500, 1.0, 16000)
         # 2 ms window with 20 ms hop leaves gaps between frames

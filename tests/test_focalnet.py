@@ -20,8 +20,10 @@ from focalaudio.focalnet import (
     FocalNetConfig,
     PatchEmbed,
 )
-from focalaudio.tensor import NumericalError, Tensor, backward, gradient_check, no_grad
+from focalaudio.tensor import NumericalError, Tensor, backward, no_grad
 from focalaudio.training import TrainConfig
+
+from gradcheck import gradient_check
 
 RNG = np.random.default_rng(5)
 

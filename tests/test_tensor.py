@@ -16,13 +16,13 @@ from focalaudio.tensor import (
     dwconv2d,
     gelu,
     global_avg_pool,
-    gradient_check,
     layernorm,
     linear,
     no_grad,
-    relative_error,
     softmax,
 )
+
+from gradcheck import gradient_check, relative_error
 
 RNG = np.random.default_rng(1234)
 
@@ -140,6 +140,82 @@ class TestDwconv2d:
             tracemalloc.stop()
         assert k.grad.shape == (8, 5, 5)
         assert peak < 8 * x.data.nbytes, f"backward peak {peak / x.data.nbytes:.1f}x the input"
+
+    def test_forward_makes_one_column_copy(self):
+        # The tap-major columns are 25 * (16 + 4) / 16 = 31.25x the input
+        # here; with the padded input, the product and its cropped copy the
+        # forward peaked at 35.2x (numpy 2.4.6). The bound leaves 2.3 inputs
+        # of margin, far less than a second column copy.
+        x = Tensor(RNG.standard_normal((4, 8, 16, 16)).astype(np.float32))
+        k = Tensor(RNG.standard_normal((8, 5, 5)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            dwconv2d(x, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 37.5 * x.data.nbytes, f"forward peak {peak / x.data.nbytes:.1f}x the input"
+
+
+def _dwconv_loop_oracle(x, k, g):
+    """Zero same-padded depth-wise cross-correlation y of x [B, C, H, W]
+    with k [C, kh, kw], and the gradients of sum(y * g) w.r.t. x and k, by
+    plain loops in float64."""
+    B, C, H, W = x.shape
+    _, kh, kw = k.shape
+    y = np.zeros((B, C, H, W))
+    gx = np.zeros((B, C, H, W))
+    gk = np.zeros((C, kh, kw))
+    for b in range(B):
+        for c in range(C):
+            for h in range(H):
+                for w in range(W):
+                    for u in range(kh):
+                        for v in range(kw):
+                            i, j = h + u - kh // 2, w + v - kw // 2
+                            if 0 <= i < H and 0 <= j < W:
+                                y[b, c, h, w] += k[c, u, v] * x[b, c, i, j]
+                                gx[b, c, i, j] += k[c, u, v] * g[b, c, h, w]
+                                gk[c, u, v] += x[b, c, i, j] * g[b, c, h, w]
+    return y, gx, gk
+
+
+class TestDwconv2dLoopOracle:
+    def _check(self, x_data, k_data, g=None):
+        x, k = Tensor(x_data, requires_grad=True), Tensor(k_data, requires_grad=True)
+        y = dwconv2d(x, k)
+        if g is None:
+            g = RNG.standard_normal(y.shape)
+            backward((y * Tensor(g)).sum())
+        else:
+            # routed through a transpose, the gradient reaching dwconv2d is a strided view of g
+            backward((T.transpose(y, (0, 1, 3, 2)) * Tensor(g.transpose(0, 1, 3, 2).copy())).sum())
+        ry, rgx, rgk = _dwconv_loop_oracle(np.asarray(x_data), np.asarray(k_data), g)
+        np.testing.assert_allclose(y.data, ry, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x.grad, rgx, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(k.grad, rgk, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 5), (5, 3), (7, 7)])
+    def test_kernel_shapes(self, kh, kw):
+        self._check(RNG.standard_normal((2, 3, 6, 7)), RNG.standard_normal((3, kh, kw)))
+
+    def test_single_image(self):
+        self._check(RNG.standard_normal((1, 3, 5, 6)), RNG.standard_normal((3, 3, 3)))
+
+    def test_single_channel(self):
+        self._check(RNG.standard_normal((2, 1, 5, 6)), RNG.standard_normal((1, 5, 3)))
+
+    def test_map_smaller_than_kernel(self):
+        self._check(RNG.standard_normal((2, 2, 2, 3)), RNG.standard_normal((2, 5, 5)))
+
+    def test_moveaxis_view_input(self):
+        x = np.moveaxis(RNG.standard_normal((2, 6, 7, 3)), -1, 1)
+        assert not x.flags.c_contiguous
+        self._check(x, RNG.standard_normal((3, 3, 5)))
+
+    def test_noncontiguous_incoming_gradient(self):
+        self._check(RNG.standard_normal((2, 3, 6, 7)), RNG.standard_normal((3, 5, 3)),
+                    g=RNG.standard_normal((2, 3, 6, 7)))
 
 
 class TestGelu:
