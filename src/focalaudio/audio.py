@@ -48,20 +48,22 @@ class ConfigError(ValueError):
 
 @dataclass
 class Waveform:
-    """Mono audio in [-1, 1] at an integer sample rate."""
+    """Mono float32 audio in [-1, 1] at an integer sample rate. This is the
+    one place that clips, before the cast, so that a finite float64 sample
+    beyond float32's range clips to ±1 instead of turning infinite."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float32)
+        s = np.asarray(self.samples)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("Waveform needs a non-empty 1-d sample array")
         if not np.isfinite(s).all():
             raise ValueError("Waveform contains NaN/Inf samples")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        self.samples = np.clip(s, -1.0, 1.0)
+        self.samples = np.clip(s, -1.0, 1.0).astype(np.float32, copy=False)
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,12 @@ class FrontendConfig:
     input_size: int = 224
 
     def __post_init__(self):
+        if self.eps <= 0:
+            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if self.input_size < 1:
+            raise ConfigError(f"input_size must be at least 1, got {self.input_size}")
+        if self.win_length < 1:
+            raise ConfigError(f"window of {self.win_ms} ms is shorter than one sample")
         if self.win_length > self.n_fft:
             raise ConfigError(f"window of {self.win_length} samples exceeds n_fft {self.n_fft}")
         if self.hop_length < 1:
@@ -224,7 +232,7 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
         out = out[:want]
     elif out.size < want:
         out = np.pad(out, (0, want - out.size))
-    return Waveform(np.clip(out, -1.0, 1.0).astype(np.float32), target_rate)
+    return Waveform(out, target_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +303,7 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
             "the inverse STFT would divide by ~0"
         )
     y /= np.maximum(env, 1e-12)
-    out = y[half : half + num_samples]
-    return Waveform(np.clip(out, -1.0, 1.0).astype(np.float32), cfg.sample_rate)
+    return Waveform(y[half : half + num_samples], cfg.sample_rate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
 """Dataset ingestion (ESC-50 CSV layout) and the synthetic tone dataset.
 
-A manifest maps every clip to (path, label id, label name, fold); folds 1-3
-train, fold 4 validates, fold 5 tests. The synthetic generator emits clips
-with known time-frequency signatures (pure tones at 500 Hz and 2 kHz, white
-noise, an amplitude-modulated 1 kHz tone) so interpretation masks can be
-checked against ground truth.
+A dataset's one record is its meta.csv, read by `ingest` into a manifest
+of (path, label id, label name, fold) per clip; folds 1-3 train, fold 4
+validates, fold 5 tests. The synthetic generator emits clips with known
+time-frequency signatures (pure tones at 500 Hz and 2 kHz, white noise, an
+amplitude-modulated 1 kHz tone) so interpretation masks can be checked
+against ground truth.
 """
 
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,23 +58,6 @@ class DatasetManifest:
         if name not in SPLIT_FOLDS:
             raise ValueError(f"unknown split {name!r} (train/val/test)")
         return [r for r in self.records if r.fold in SPLIT_FOLDS[name]]
-
-    def save(self, path) -> None:
-        payload = {
-            "num_classes": self.num_classes,
-            "records": [asdict(r) for r in self.records],
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-
-    @classmethod
-    def load(cls, path) -> "DatasetManifest":
-        with open(path) as f:
-            payload = json.load(f)
-        return cls(
-            records=[ClipRecord(**r) for r in payload["records"]],
-            num_classes=payload["num_classes"],
-        )
 
 
 def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
@@ -142,7 +125,7 @@ def _synth_clip(label_name: str, rng: np.random.Generator, seconds: float,
     else:
         freq = SYNTH_TONE_HZ[label_name]
         sig = gain * np.sin(2 * np.pi * freq * t + phase)
-    return np.clip(sig + floor, -1.0, 1.0).astype(np.float32)
+    return sig + floor
 
 
 def generate_synthetic_dataset(out_root, clips_per_class: int = 100, seconds: float = 5.0,
@@ -170,9 +153,7 @@ def generate_synthetic_dataset(out_root, clips_per_class: int = 100, seconds: fl
         w = csv.writer(f)
         w.writerow(["filename", "fold", "target", "category"])
         w.writerows(rows)
-    manifest = ingest(out_root, meta, num_classes=len(SYNTH_CLASSES))
-    manifest.save(out_root / "manifest.json")
-    return manifest
+    return ingest(out_root, meta, num_classes=len(SYNTH_CLASSES))
 
 
 def load_split(manifest: DatasetManifest, split_name: str, frontend: FrontendConfig,

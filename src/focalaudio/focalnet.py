@@ -141,14 +141,10 @@ class ChannelNorm(Module):
 class FocalLayer(Module):
     """Focal modulation over one feature map."""
 
-    def __init__(self, dim: int, levels: int, kernel_sizes, rng, dtype):
-        if len(kernel_sizes) != levels:
-            raise ValueError("one kernel size per focal level required")
-        self.dim = dim
-        self.levels = levels
+    def __init__(self, dim: int, kernel_sizes, rng, dtype):
         self.query = Dense(dim, dim, rng, dtype)
         self.context_proj = Dense(dim, dim, rng, dtype)
-        self.gate_proj = Dense(dim, levels + 1, rng, dtype)
+        self.gate_proj = Dense(dim, len(kernel_sizes) + 1, rng, dtype)
         self.out_proj = Dense(dim, dim, rng, dtype)
         self.kernels = [T.trunc_normal((dim, k, k), rng, dtype=dtype) for k in kernel_sizes]
 
@@ -167,8 +163,8 @@ class FocalLayer(Module):
 
     def gated_aggregate(self, x: Tensor, contexts: list) -> Tensor:
         """Blend context maps with per-location scalar gates, then project."""
-        if len(contexts) != self.levels + 1:
-            raise ValueError(f"expected {self.levels + 1} context maps, got {len(contexts)}")
+        if len(contexts) != len(self.kernels) + 1:
+            raise ValueError(f"expected {len(self.kernels) + 1} context maps, got {len(contexts)}")
         gates = channel_linear(x, self.gate_proj)
         blended = None
         for lvl, ctx in enumerate(contexts):
@@ -197,9 +193,9 @@ class Mlp(Module):
 class FocalBlock(Module):
     """Pre-norm residual block: modulation branch then MLP branch."""
 
-    def __init__(self, dim: int, levels: int, kernel_sizes, mlp_ratio: float, norm_eps: float, rng, dtype):
+    def __init__(self, dim: int, kernel_sizes, mlp_ratio: float, norm_eps: float, rng, dtype):
         self.norm1 = ChannelNorm(dim, norm_eps, dtype)
-        self.focal = FocalLayer(dim, levels, kernel_sizes, rng, dtype)
+        self.focal = FocalLayer(dim, kernel_sizes, rng, dtype)
         self.norm2 = ChannelNorm(dim, norm_eps, dtype)
         self.mlp = Mlp(dim, int(dim * mlp_ratio), rng, dtype)
 
@@ -239,11 +235,9 @@ class PatchEmbed(Module):
 class Stage(Module):
     """Blocks of one resolution (the `stages.i.blocks.j` parameter paths)."""
 
-    def __init__(self, dim: int, depth: int, levels: int, kernel_sizes, mlp_ratio, norm_eps, rng, dtype):
-        self.blocks = [
-            FocalBlock(dim, levels, kernel_sizes, mlp_ratio, norm_eps, rng, dtype)
-            for _ in range(depth)
-        ]
+    def __init__(self, dim: int, depth: int, kernel_sizes, mlp_ratio, norm_eps, rng, dtype):
+        self.blocks = [FocalBlock(dim, kernel_sizes, mlp_ratio, norm_eps, rng, dtype)
+                       for _ in range(depth)]
 
 
 class FocalNet(Module):
@@ -265,10 +259,8 @@ class FocalNet(Module):
         self.stages = []
         self.downsamples = []
         for i, depth in enumerate(config.stage_depths):
-            self.stages.append(
-                Stage(dims[i], depth, config.focal_levels[i], config.kernel_sizes[i],
-                      config.mlp_ratio, config.norm_eps, rng, dtype)
-            )
+            self.stages.append(Stage(dims[i], depth, config.kernel_sizes[i], config.mlp_ratio,
+                                     config.norm_eps, rng, dtype))
             if i + 1 < len(dims):
                 self.downsamples.append(PatchEmbed(dims[i], dims[i + 1], 2, rng, dtype))
         self.final_norm = ChannelNorm(dims[-1], config.norm_eps, dtype)
@@ -309,9 +301,7 @@ class FocalNet(Module):
 
     def logits_from_features(self, feats: Tensor) -> Tensor:
         """Scaled cosine similarity against the head's class-weight rows."""
-        fn = _l2_normalize(feats)
-        wn = _l2_normalize(self.head.weight)
-        return T.linear(fn, wn) * self.dtype(self.config.logit_scale)
+        return cosine(feats, self.head.weight) * self.dtype(self.config.logit_scale)
 
     def forward(self, x):
         """Returns (logits [B, K], modulator), the modulator as in `forward_features`."""
@@ -328,3 +318,9 @@ class FocalNet(Module):
 def _l2_normalize(t: Tensor) -> Tensor:
     n = T.sqrt((t * t).sum(axis=-1, keepdims=True) + 1e-12)
     return t / n
+
+
+def cosine(features: Tensor, weights: Tensor) -> Tensor:
+    """Cosine similarity [B, K] of rows [B, D] and [K, D]: the head's logits
+    before scaling, and the training loss's before the margin."""
+    return T.linear(_l2_normalize(features), _l2_normalize(weights))

@@ -11,13 +11,13 @@ the original input.
 
 `evaluate` is the one evaluation path: it returns a record per (clip, q)
 and `quantile_sweep` averages those records per q into a `SweepResult`.
-Neither writes files; serializing results is left to the caller. `evaluate`
-runs two batched steps of no_grad forwards, each in chunks of at most 16
-inputs: first the clips themselves, whose forwards also return the
-modulator that gives each clip's map; then every clip's 2·|q|
-interpretation and removal inputs. For n clips that is ceil(n/16) +
-ceil(2·|q|·n/16) forwards. `predict_batch` and `training.evaluate_accuracy`
-use the same chunked forward loop; the latter scores with `accuracy`.
+Neither writes files; serializing results is left to the caller.
+`batched_logits` runs no_grad forwards in chunks of at most 16 inputs and
+returns what the model returns, logits and modulators. `evaluate` calls it
+twice: on the clips, whose modulators it turns into maps, then on every
+clip's 2·|q| interpretation and removal inputs; for n clips that is
+ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch` and
+`training.evaluate_accuracy` read only its logits.
 
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
@@ -90,25 +90,22 @@ def accuracy(predictions, labels) -> float:
 
 
 def batched_logits(model, inputs, batch_size: int = 16):
-    """Logits [N, K] of `inputs`, an iterable of [3, S, S] model inputs,
-    from no_grad forwards of at most `batch_size` stacked inputs. Returns
-    (logits, maps): `maps` holds one [h, w] modulation map per input."""
+    """(logits [N, K], modulators [N, C, h, w]) of `inputs`, an iterable of
+    [3, S, S] model inputs, from no_grad forwards of at most `batch_size`
+    stacked inputs; no inputs give empty arrays, modulators [0, C, 0, 0]."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    logits, maps = [], []
+    logits, modulators = [], []
     inputs = iter(inputs)
     while chunk := list(islice(inputs, batch_size)):
         with T.no_grad():
             out, modulator = model.forward(np.stack(chunk))
         logits.append(out.data)
-        maps.extend(modulation_map(modulator))
+        modulators.append(modulator)
     if not logits:
-        return np.empty((0, model.config.num_classes), dtype=model.dtype), maps
-    return np.concatenate(logits), maps
-
-
-def _probs(logits: np.ndarray) -> np.ndarray:
-    return T.softmax(logits).data
+        return (np.empty((0, model.config.num_classes), dtype=model.dtype),
+                np.empty((0, model.config.stage_dims[-1], 0, 0), dtype=model.dtype))
+    return np.concatenate(logits), np.concatenate(modulators)
 
 
 def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.ndarray:
@@ -134,19 +131,19 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
         clip_ids = [f"clip{i}" for i in range(len(clips))]
     if len(clip_ids) != len(clips):
         raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
-    logits, maps = batched_logits(model, (to_model_input(s, out=input_size) for s in clips))
-    probs = _probs(logits)
+    logits, modulators = batched_logits(model, (to_model_input(s, out=input_size) for s in clips))
+    probs = T.softmax(logits).data
     preds = np.argmax(probs, axis=-1)
 
     def masked_inputs():
         # per clip and q: the interpretation, then its removal
-        for spec, mmap in zip(clips, maps):
+        for spec, mmap in zip(clips, modulation_map(modulators)):
             for mask in threshold_mask(mmap, qs, spec.log_mag.shape):
                 yield to_model_input(apply_mask(spec, mask), out=input_size)
                 yield to_model_input(apply_mask(spec, 1 - mask), out=input_size)
 
     masked, _ = batched_logits(model, masked_inputs())
-    masked = _probs(masked).reshape(len(clips), len(qs), 2, -1)
+    masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)
     return [EvalRecord(clip_id=cid, q=q, predicted=int(preds[c]),
                        predicted_on_interpretation=int(np.argmax(masked[c, i, 0])),
                        prob_predicted=float(probs[c, preds[c]]),

@@ -418,10 +418,10 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     preserved by zero same-padding. The forward copies the kh*kw taps of the
     channel-major padded input into tap-major columns and contracts them
     with k in one batched product; the output is stored [C, B, H, W]. The
-    input gradient is the same routine applied to the incoming gradient with
-    the flipped kernel. The kernel gradient is reduced one tap at a time,
-    each tap a contiguous slice of the forward's padded input, so it makes
-    no window copy.
+    input gradient is the same routine on the padded incoming gradient with
+    the flipped kernel. The kernel gradient reduces each tap of the forward's
+    padded input against the centre tap of the padded gradient, both
+    contiguous slices, so it makes no window copy.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if k.ndim != 3:
@@ -433,20 +433,21 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
         raise ValueError(
             f"dwconv2d: input {x.shape} incompatible with kernel {k.shape}"
         )
-    B, C, H, W = x.shape
+    H, W = x.shape[2:]
     flat = _padded_taps(x.data, kh, kw)
     out = Tensor(_correlate(flat, k.data, H, W))
 
     def bw(g):
+        gflat = _padded_taps(g, kh, kw)
         if x.requires_grad:
             kflip = np.ascontiguousarray(k.data[:, ::-1, ::-1])
-            _accum(x, _correlate(_padded_taps(g, kh, kw), kflip, H, W))
+            _accum(x, _correlate(gflat, kflip, H, W))
         if k.requires_grad:
             wp = W + kw - 1
             n = H * wp
-            gp = np.zeros((C, B, H, wp), dtype=g.dtype)
-            gp[..., :W] = g.transpose(1, 0, 2, 3)
-            gp = gp.reshape(C, B, n)
+            # the centre tap reads g on the [H, Wp] grid, zero in columns W..
+            centre = (kh // 2) * wp + kw // 2
+            gp = gflat[:, :, centre : centre + n]
             gk = np.empty(k.shape, dtype=g.dtype)
             for u in range(kh):
                 for v in range(kw):

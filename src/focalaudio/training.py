@@ -18,7 +18,8 @@ kind.
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
 from (seed, epoch, clip id), and the optimizer state round-trips through
-checkpoints bitwise, so resuming mid-run reproduces the one-shot loss curve.
+checkpoints bitwise, so resuming mid-run reproduces the one-shot loss curve
+and Adam state, but restarts `history` and the best-on-validation choice.
 
 Note on the preset schedule: with the standard preset (step size 65000) a
 100-epoch run over ~1200 clips at batch 16 performs ~7500 steps, so the
@@ -41,7 +42,7 @@ import numpy as np
 from . import tensor as T
 from .audio import FrontendConfig, augment
 from .data import ClipSet
-from .focalnet import FocalNet, FocalNetConfig, _l2_normalize
+from .focalnet import FocalNet, FocalNetConfig, cosine
 from .metrics import accuracy, batched_logits
 from .tensor import NumericalError, Tensor, backward
 
@@ -81,6 +82,11 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
+        for name in ("lr_min", "weight_decay"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not self.grad_clip_norm > 0:
+            raise ValueError("grad_clip_norm must be positive")
         for name in ("batch_size", "epochs", "step_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -91,12 +97,10 @@ class TrainConfig:
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
-        """CPU-scale preset for the synthetic-tone experiment."""
-        base = dict(batch_size=16, epochs=30, lr_min=1e-5, lr_max=3e-3,
-                    step_size=200, weight_decay=2e-6, grad_clip_norm=5.0,
-                    augment_prob=0.75, seed=0)
-        base.update(overrides)
-        return cls(**base)
+        """CPU-scale preset for the synthetic-tone experiment: the defaults
+        with 30 epochs and lr 1e-5 to 3e-3 over step size 200."""
+        return cls(**{"epochs": 30, "lr_min": 1e-5, "lr_max": 3e-3, "step_size": 200,
+                      **overrides})
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +111,7 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
                     scale: float, clip_ids=None) -> Tensor:
     """Cross-entropy over scale * (cosine - margin at the true class).
 
-    Features and class weights are L2-normalized internally. A missing,
+    The cosine is `focalnet.cosine`, the model head's own. A missing,
     fractional or out-of-range label is a `ValueError` and a zero-norm
     feature row a numerical error, each naming the clip id when given, else
     the batch row.
@@ -139,13 +143,11 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
     norms = np.linalg.norm(features.data, axis=-1)
     if (norms < 1e-12).any():
         raise NumericalError(f"zero-norm feature row for {who(int(np.argmin(norms)))}")
-    fn = _l2_normalize(features)
-    wn = _l2_normalize(class_weights)
-    cosine = T.linear(fn, wn)  # [B, K]
+    cos = cosine(features, class_weights)  # [B, K]
     dtype = features.dtype.type
-    onehot = np.zeros(cosine.shape, dtype=features.dtype)
+    onehot = np.zeros(cos.shape, dtype=features.dtype)
     onehot[np.arange(rows), labels] = 1.0
-    logits = (cosine + Tensor(onehot * dtype(-margin))) * dtype(scale)
+    logits = (cos + Tensor(onehot * dtype(-margin))) * dtype(scale)
     return T.cross_entropy(logits, onehot)
 
 
@@ -283,13 +285,16 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         start_epoch: int = 0, optimizer_state: AdamState | None = None) -> FitResult:
     """Epoch loop with augmentation (training only), per-epoch validation
     accuracy and best-on-validation checkpointing. Deterministic given the
-    config seed; supports resuming via `start_epoch` + `optimizer_state`.
-    `frontend` is the config that made the inputs; every checkpoint records it.
+    config seed. `frontend` is the config that made the inputs; every
+    checkpoint records it. A resume from `start_epoch` with the earlier run's
+    `optimizer_state` (updated in place) keeps its loss curve and Adam state
+    bitwise but loses its `history` and best-on-validation choice: `history`
+    starts at `start_epoch` and `best` is chosen among the resumed epochs.
 
-    Each step logs `step`, `lr`, `loss` and `grad_norm`, which are
-    deterministic, plus `step_s` (wall time of forward, backward and
-    optimizer step, augmentation excluded) and `clips_per_s` (batch clips
-    over `step_s`), which are not.
+    Each step logs `step` (Adam's `t` before it), `lr`, `loss` and
+    `grad_norm`, which are deterministic, plus `step_s` (wall time of
+    forward, backward and optimizer step, augmentation excluded) and
+    `clips_per_s` (batch clips over `step_s`), which are not.
     """
     params = dict(model.named_parameters())
     state = optimizer_state or AdamState()
@@ -303,11 +308,10 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         run_dir.mkdir(parents=True, exist_ok=True)
         log_file = open(run_dir / "train_log.jsonl", "a")
     try:
-        step = state.t
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(len(train))
             losses = []
-            lr = cyclic_lr(step, config.lr_min, config.lr_max, config.step_size)
+            lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
             for lo in range(0, len(order), config.batch_size):
                 idx = order[lo : lo + config.batch_size]
                 xb = np.stack([
@@ -326,21 +330,20 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 if not np.isfinite(loss_val):
                     ckpt = _snapshot(model, state, config, frontend, history)
                     raise TrainingDiverged(
-                        f"loss diverged at epoch {epoch} step {step}", checkpoint=ckpt
+                        f"loss diverged at epoch {epoch} step {state.t}", checkpoint=ckpt
                     )
                 backward(loss)
-                lr = cyclic_lr(step, config.lr_min, config.lr_max, config.step_size)
+                lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
                 gnorm = optimizer_step(params, state, lr,
                                        weight_decay=config.weight_decay,
                                        clip_norm=config.grad_clip_norm)
                 step_s = time.perf_counter() - t0
                 losses.append(loss_val)
-                line = {"step": step, "lr": lr, "loss": loss_val, "grad_norm": gnorm,
+                line = {"step": state.t - 1, "lr": lr, "loss": loss_val, "grad_norm": gnorm,
                         "step_s": step_s, "clips_per_s": len(idx) / step_s}
                 log_lines.append(line)
                 if log_file is not None:
                     log_file.write(json.dumps(line) + "\n")
-                step += 1
             val_acc = evaluate_accuracy(model, val, batch_size=config.batch_size)
             history.append({
                 "epoch": epoch,
@@ -403,7 +406,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Magic, length, checksum and version are checked, in that order, before
     the header is parsed or anything is built (a file shorter than the magic
-    is reported as truncated); any failure raises `CheckpointError`."""
+    is reported as truncated); then every Adam moment must belong to a
+    stored parameter of its shape. Any failure raises `CheckpointError`."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
     magic_len = len(_CKPT_MAGIC)
@@ -428,7 +432,7 @@ def load_checkpoint(path) -> Checkpoint:
             raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
             arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
             arrays.setdefault(a["kind"], {})[a["name"]] = arr
-        return Checkpoint(
+        ckpt = Checkpoint(
             params=arrays.get("param", {}),
             optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),
                                 t=header["optimizer_t"]),
@@ -439,3 +443,11 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from None
+    for kind, moments in (("adam_m", ckpt.optimizer.m), ("adam_v", ckpt.optimizer.v)):
+        for name, moment in moments.items():
+            if name not in ckpt.params:
+                raise CheckpointError(f"{path}: {kind} {name} is not a stored parameter")
+            if moment.shape != ckpt.params[name].shape:
+                raise CheckpointError(f"{path}: {kind} {name} has shape {moment.shape}, "
+                                      f"its parameter {ckpt.params[name].shape}")
+    return ckpt

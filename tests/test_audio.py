@@ -129,6 +129,11 @@ class TestWavIO:
         with pytest.raises(ValueError):
             Waveform(np.array([], dtype=np.float32), 16000)
 
+    def test_waveform_clips_before_the_float32_cast(self):
+        w = Waveform(np.array([0.5, 1.5, 1e300, -1e300]), 16000)
+        assert w.samples.dtype == np.float32
+        np.testing.assert_array_equal(w.samples, [0.5, 1.0, 1.0, -1.0])
+
 
 class TestResample:
     def test_length_contract_44k_to_16k(self):
@@ -197,10 +202,19 @@ class TestStft:
         with pytest.raises(ValueError, match="44100 Hz.*16000 Hz"):
             stft(sine(440, 0.5, 44100))
 
-    @pytest.mark.parametrize("cfg", [dict(n_fft=256, win_ms=100.0), dict(hop_ms=0.01)],
-                             ids=["window_over_n_fft", "hop_under_one_sample"])
-    def test_impossible_frontend_rejected(self, cfg):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("cfg, match", [
+        (dict(n_fft=256, win_ms=100.0), "exceeds n_fft"),
+        (dict(hop_ms=0.01), "hop"),
+        # log 0 = -inf on zero-padded clip tails would reach the model as NaN
+        (dict(eps=0.0), "eps must be positive"),
+        (dict(eps=-1e-10), "eps must be positive"),
+        # 0.16 samples round to an empty window and an all-zero STFT
+        (dict(win_ms=0.01), "shorter than one sample"),
+        (dict(input_size=0), "input_size must be at least 1"),
+    ], ids=["window_over_n_fft", "hop_under_one_sample", "eps_zero", "eps_negative",
+            "window_under_one_sample", "input_size_zero"])
+    def test_impossible_frontend_rejected(self, cfg, match):
+        with pytest.raises(ConfigError, match=match):
             FrontendConfig(**cfg)
 
 

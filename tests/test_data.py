@@ -1,6 +1,6 @@
 """Dataset tests: metadata validation names every offending CSV line, the
-manifest survives a save/load round trip, and the synthetic set puts every
-class in every fold."""
+synthetic set's meta.csv is its only record, and it puts every class in
+every fold."""
 
 import csv
 
@@ -72,16 +72,10 @@ def synthetic(tmp_path_factory):
 
 
 class TestManifest:
-    def test_save_load_round_trip(self, synthetic, tmp_path):
-        _, manifest = synthetic
-        manifest.save(tmp_path / "m.json")
-        back = data.DatasetManifest.load(tmp_path / "m.json")
-        assert back == manifest
-        assert back.num_classes == 4
-
-    def test_written_manifest_matches_returned(self, synthetic):
+    def test_meta_csv_is_the_only_record(self, synthetic):
         root, manifest = synthetic
-        assert data.DatasetManifest.load(root / "manifest.json") == manifest
+        assert sorted(p.name for p in root.iterdir()) == ["audio", "meta.csv"]
+        assert data.ingest(root, root / "meta.csv", num_classes=4) == manifest
 
     def test_round_robin_folds_hold_every_class(self, synthetic):
         _, manifest = synthetic

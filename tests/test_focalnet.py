@@ -28,8 +28,8 @@ from gradcheck import gradient_check
 RNG = np.random.default_rng(5)
 
 
-def make_layer(dim=4, levels=2, kernels=(3, 5), dtype=np.float64, seed=0):
-    return FocalLayer(dim, levels, kernels, np.random.default_rng(seed), dtype)
+def make_layer(dim=4, kernels=(3, 5), dtype=np.float64, seed=0):
+    return FocalLayer(dim, kernels, np.random.default_rng(seed), dtype)
 
 
 def set_identity(dense: Dense):
@@ -59,7 +59,7 @@ def scalar_reference_modulator(layer: FocalLayer, x: np.ndarray) -> np.ndarray:
 
 class TestHierarchicalContextualize:
     def test_level_count(self):
-        layer = make_layer(levels=2)
+        layer = make_layer(kernels=(3, 5))
         ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((1, 4, 6, 6))))
         assert len(ctx) == 3
 
@@ -139,7 +139,7 @@ class TestFocalModulation:
             assert y.shape == shape
 
     def test_gradient_32bit(self):
-        layer = FocalLayer(3, 2, (3, 3), np.random.default_rng(0), np.float32)
+        layer = FocalLayer(3, (3, 3), np.random.default_rng(0), np.float32)
         x = Tensor(RNG.standard_normal((1, 3, 5, 5)).astype(np.float32), requires_grad=True)
         params = dict(layer.named_parameters())
         params["x"] = x
@@ -167,7 +167,7 @@ class TestFocalModulation:
 
 class TestFocalBlock:
     def make_block(self, dim=4, dtype=np.float64):
-        return FocalBlock(dim, 2, (3, 5), 4.0, 1e-5, np.random.default_rng(0), dtype)
+        return FocalBlock(dim, (3, 5), 4.0, 1e-5, np.random.default_rng(0), dtype)
 
     def test_zeroed_residual_branches_identity(self):
         blk = self.make_block()

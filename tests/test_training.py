@@ -283,11 +283,25 @@ class TestCheckpoint:
          "malformed header: ValueError.*lr_min"),
         (lambda b: rewrite_header(b, lambda h: {**h, "frontend": {**h["frontend"], "win_ms": 100.0}}),
          "malformed header: ConfigError.*1600 samples exceeds n_fft 1024"),
+        # a negative clip norm turns every clipped step uphill, a zero one freezes training
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": -5.0}}),
+         "malformed header: ValueError.*grad_clip_norm must be positive"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": 0.0}}),
+         "malformed header: ValueError.*grad_clip_norm must be positive"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": float("nan")}}),
+         "malformed header: ValueError.*grad_clip_norm must be positive"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "weight_decay": -2e-6}}),
+         "malformed header: ValueError.*weight_decay must be >= 0"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": -1e-5}}),
+         "malformed header: ValueError.*lr_min must be >= 0"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
-            "header_with_invalid_frontend", "header_not_an_object"])
+            "header_with_invalid_frontend", "header_with_negative_clip_norm",
+            "header_with_zero_clip_norm", "header_with_nan_clip_norm",
+            "header_with_negative_weight_decay", "header_with_negative_lr_min",
+            "header_not_an_object"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
@@ -306,6 +320,19 @@ class TestCheckpoint:
         ckpt.params["head.weight"] = ckpt.params["head.weight"][:, :-1]
         with pytest.raises(training.CheckpointError, match="shape mismatch for head.weight"):
             ckpt.build_model()
+
+    # a (1,) moment would broadcast silently in `optimizer_step` on resume
+    @pytest.mark.parametrize("kind, name, check", [
+        ("v", "head.weight", r"adam_v head.weight has shape \(1,\), its parameter \(4, 16\)"),
+        ("m", "head.scale", "adam_m head.scale is not a stored parameter"),
+    ], ids=["reshaped", "without_parameter"])
+    def test_moment_that_fits_no_parameter_rejected(self, tmp_path, kind, name, check):
+        ckpt = pinned_checkpoint()
+        getattr(ckpt.optimizer, kind)[name] = np.ones(1, dtype=np.float32)
+        path = tmp_path / "moment.ckpt"
+        training.save_checkpoint(ckpt, path)
+        with pytest.raises(training.CheckpointError, match=f"moment.ckpt: {check}"):
+            training.load_checkpoint(path)
 
 
 def adam_by_hand(values: dict, steps: list, lrs: list, weight_decay: float, clip: float):
