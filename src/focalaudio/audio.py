@@ -7,7 +7,11 @@ The frontend turns a clip into the image-like input the classifier consumes:
 
 and back again: a (possibly masked) log magnitude plus the retained phase is
 inverted with a window-sum-normalized overlap-add, so interpretations stay
-listenable.
+listenable. The last frame's centre can sit up to hop - 2 samples before a
+clip's end, and a window shorter than about twice the hop may not reach that
+far; the inverse returns such trailing samples as 0, since no frame saw
+them. At the defaults that is the last sample of a clip whose length is 185
+mod 186.
 
 STFT convention (fixed): Hann window (periodic) of ``round(win_ms * rate /
 1000)`` samples, zero-padded symmetrically to ``n_fft``; frames centered via
@@ -279,8 +283,11 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
 
     Masked-out cells floored at log(eps) synthesize as (near) zero magnitude,
     so an all-masked spectrogram reconstructs as silence. A window/hop pair
-    whose squared-window envelope has holes inside the clip raises
-    `ConfigError`.
+    whose squared-window envelope has a hole between reached samples raises
+    `ConfigError`. Samples past the reach of the last frame's window come
+    back as 0: the STFT holds nothing of them. For a window nonzero up to r
+    samples from its frame's centre there are at most hop - 2 - r of them
+    (1 at the defaults, r = 183, when the length is 185 mod 186).
     """
     cfg, num_samples = spec.frontend, spec.num_samples
     mag = np.exp(spec.log_mag.astype(np.float64)) - cfg.eps
@@ -297,12 +304,15 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
     for i in range(frames.shape[0]):
         y[i * hop : i * hop + n_fft] += frames[i] * window
         env[i * hop : i * hop + n_fft] += wsq
-    if env[half : half + num_samples].min() < 1e-10:
+    reached = env[half : half + num_samples] >= 1e-10
+    end = num_samples - int(np.argmax(reached[::-1]))  # one past the last reached sample
+    if not reached[:end].all():
         raise ConfigError(
             "window/hop combination violates the nonzero-overlap-add condition; "
             "the inverse STFT would divide by ~0"
         )
     y /= np.maximum(env, 1e-12)
+    y[half + end :] = 0.0
     return Waveform(y[half : half + num_samples], cfg.sample_rate)
 
 

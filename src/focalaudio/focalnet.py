@@ -84,6 +84,16 @@ class FocalNetConfig:
             raise ValueError("every stage needs at least one block")
         if self.num_classes < 2:
             raise ValueError("num_classes must be at least 2")
+        if any(d < 1 for d in self.stage_dims):
+            raise ValueError(f"stage_dims must be positive, got {self.stage_dims}")
+        if self.patch_size < 1:
+            raise ValueError(f"patch_size must be at least 1, got {self.patch_size}")
+        if not all(1 <= d * self.mlp_ratio < np.inf for d in self.stage_dims):
+            raise ValueError(f"mlp_ratio {self.mlp_ratio} must give every stage a finite MLP "
+                             f"hidden width of at least 1, stage_dims {self.stage_dims}")
+        for name in ("logit_scale", "norm_eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         for levels, kernels in zip(self.focal_levels, self.kernel_sizes):
             if len(kernels) != levels:
                 raise ValueError(f"{levels} focal levels need {levels} kernel sizes, got {kernels}")

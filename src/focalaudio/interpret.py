@@ -1,22 +1,27 @@
 """From the model's modulator to mask, interpretation spectrogram and audio.
 
-The pipeline runs on plain arrays: the channel-wise L2 norm of the
-modulator the model's forward returns gives a nonnegative saliency map at
-feature resolution, one per clip; the map is bilinearly upsampled once to
-full spectrogram resolution and thresholded at its q-quantile for every
+`logits_and_maps(model, inputs)` is the one place a model is evaluated for
+scoring or interpretation: it runs no_grad forwards over chunks of at most
+16 stacked inputs and returns the logits and one saliency map per input,
+the channel-wise L2 norm (`modulation_map`) of the modulator the forward
+returns, nonnegative and at feature resolution. A second map source
+replaces that one function. Each map is bilinearly upsampled once to full
+spectrogram resolution and thresholded at its q-quantile for every
 requested q (ties kept, so q = 0 retains everything, and the retained
-fraction is close to 1 - q), giving one uint8 0/1 mask per q; a mask
-multiplies the log-spectrogram ("for_model" mode, what the metrics evaluate,
-for the interpretation and, with `1 - mask`, for its removal) or floors
-masked cells to silence ("for_listening" mode, what gets reconstructed into
-a playable waveform). `listenable_interpretation` runs that whole path for
-one clip and returns the waveform, `istft_reconstruct(spec)` of the listening
-spectrogram; `audio.save_wav` writes it.
+fraction is close to 1 - q), giving one uint8 0/1 mask per q.
+`apply_mask(spec, mask, fill)` keeps the log magnitude of the cells the mask
+keeps and sets every other cell to `fill`: 0 (magnitude 1) for the inputs the
+metrics evaluate, the interpretation and, with `1 - mask`, its removal;
+log(eps) for listening, so masked cells reconstruct as silence.
+`listenable_interpretation` runs that whole path for one clip and returns
+the waveform, `istft_reconstruct(spec)` of the listening spectrogram;
+`audio.save_wav` writes it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 
@@ -28,6 +33,24 @@ def modulation_map(modulator: np.ndarray) -> np.ndarray:
     """Saliency maps [B, h, w], float64: the L2 norm across channels of a
     modulator [B, C, h, w], one map per input of the batch."""
     return np.sqrt((modulator.astype(np.float64) ** 2).sum(axis=1))
+
+
+def logits_and_maps(model, inputs, batch_size: int = 16) -> tuple:
+    """(logits [N, K], maps [N, h, w]) of `inputs`, an iterable of [3, S, S]
+    model inputs, from no_grad forwards of at most `batch_size` stacked
+    inputs; each chunk's maps are the `modulation_map` of its modulator."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    logits, maps = [], []
+    inputs = iter(inputs)
+    while chunk := list(islice(inputs, batch_size)):
+        with no_grad():
+            out, modulator = model.forward(np.stack(chunk))
+        logits.append(out.data)
+        maps.append(modulation_map(modulator))
+    if not logits:
+        raise ValueError("empty input set: no logits or maps to compute")
+    return np.concatenate(logits), np.concatenate(maps)
 
 
 def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
@@ -45,31 +68,19 @@ def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
     return (up >= np.quantile(up, qs)[:, None, None]).astype(np.uint8)
 
 
-def apply_mask(s: Spectrogram, mask: np.ndarray, mode: str = "for_model") -> Spectrogram:
-    """Mask a spectrogram with a 0/1 `mask` of its shape.
-
-    for_model: elementwise product of the log magnitude with the mask (the
-    masked cells read log-magnitude 0, i.e. magnitude 1).
-    for_listening: masked cells floored to log(eps) so they reconstruct as
-    silence. Phase passes through untouched in both modes.
-    """
+def apply_mask(s: Spectrogram, mask: np.ndarray, fill: float = 0.0) -> Spectrogram:
+    """`s` with the log magnitude of every cell where the 0/1 `mask` (of its
+    shape) is 0 set to `fill`; phase passes through untouched."""
     if mask.shape != s.log_mag.shape:
         raise ValueError(f"mask shape {mask.shape} != spectrogram shape {s.log_mag.shape}")
     if not ((mask == 0) | (mask == 1)).all():
         raise ValueError("mask entries must be 0 or 1")
-    if mode == "for_model":
-        out = s.log_mag * mask
-    elif mode == "for_listening":
-        out = np.where(mask == 1, s.log_mag, np.float32(np.log(s.frontend.eps)))
-    else:
-        raise ValueError(f"unknown masking mode {mode!r}")
-    return replace(s, log_mag=out.astype(np.float32))
+    return replace(s, log_mag=np.where(mask == 1, s.log_mag, np.float32(fill)))
 
 
 def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
-    """Full pipeline: preprocess, forward, mask, reconstruct."""
+    """Full pipeline: preprocess, forward, mask to log(eps), reconstruct."""
     spec, x = preprocess(clip, frontend)
-    with no_grad():
-        _, modulator = model.forward(x)
-    [mask] = threshold_mask(modulation_map(modulator)[0], [q], spec.log_mag.shape)
-    return istft_reconstruct(apply_mask(spec, mask, mode="for_listening"))
+    _, [m] = logits_and_maps(model, [x])
+    [mask] = threshold_mask(m, [q], spec.log_mag.shape)
+    return istft_reconstruct(apply_mask(spec, mask, fill=np.log(frontend.eps)))

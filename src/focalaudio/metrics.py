@@ -4,20 +4,21 @@ Fidelity-to-input (FID-I) is the fraction of clips whose predicted class is
 unchanged when the classifier sees the interpretation instead of the input.
 Faithfulness (FA) is the drop in predicted-class probability when the
 interpretation is removed from the input. Both are computed in
-log-spectrogram space: the interpretation is `log_mag * mask`, its removal
-is `log_mag * (1 - mask)`, both made by `interpret.apply_mask` from the one
-uint8 mask, and each goes through the identical resize/standardize path as
-the original input.
+log-spectrogram space: the interpretation keeps the log magnitude where the
+mask is 1 and its removal where it is 0, both made by `interpret.apply_mask`
+from the one uint8 mask with the default fill 0 elsewhere, and each goes
+through the identical resize/standardize path as the original input.
 
 `evaluate` is the one evaluation path: it returns a record per (clip, q)
 and `quantile_sweep` averages those records per q into a `SweepResult`.
-Neither writes files; serializing results is left to the caller.
-`batched_logits` runs no_grad forwards in chunks of at most 16 inputs and
-returns what the model returns, logits and modulators. `evaluate` calls it
-twice: on the clips, whose modulators it turns into maps, then on every
-clip's 2·|q| interpretation and removal inputs; for n clips that is
-ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch` and
-`training.evaluate_accuracy` read only its logits.
+Neither writes files; serializing results is left to the caller. Every
+forward goes through `interpret.logits_and_maps`, which runs no_grad
+forwards in chunks of at most 16 inputs and returns logits and saliency
+maps. `evaluate` calls it twice: on the clips, whose maps become the masks,
+then on every clip's 2·|q| interpretation and removal inputs, whose maps it
+does not read; for n clips that is ceil(n/16) + ceil(2·|q|·n/16) forwards.
+`predict_batch` and `training.evaluate_accuracy` read only its logits.
+Nothing here reads the model beyond what `logits_and_maps` returns.
 
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
@@ -31,13 +32,12 @@ environmental-sound benchmark's fifth fold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import tensor as T
 from .audio import to_model_input
-from .interpret import apply_mask, modulation_map, threshold_mask
+from .interpret import apply_mask, logits_and_maps, threshold_mask
 
 
 @dataclass
@@ -72,11 +72,6 @@ class SweepResult:
     entries: list  # of (q, fid_i, fa)
     n_clips: int
 
-    def __post_init__(self):
-        qs = [q for q, _, _ in self.entries]
-        if any(b <= a for a, b in zip(qs, qs[1:])):
-            raise ValueError("q values must be strictly increasing")
-
 
 def accuracy(predictions, labels) -> float:
     """Mean exact-match indicator."""
@@ -89,29 +84,10 @@ def accuracy(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def batched_logits(model, inputs, batch_size: int = 16):
-    """(logits [N, K], modulators [N, C, h, w]) of `inputs`, an iterable of
-    [3, S, S] model inputs, from no_grad forwards of at most `batch_size`
-    stacked inputs; no inputs give empty arrays, modulators [0, C, 0, 0]."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be positive")
-    logits, modulators = [], []
-    inputs = iter(inputs)
-    while chunk := list(islice(inputs, batch_size)):
-        with T.no_grad():
-            out, modulator = model.forward(np.stack(chunk))
-        logits.append(out.data)
-        modulators.append(modulator)
-    if not logits:
-        return (np.empty((0, model.config.num_classes), dtype=model.dtype),
-                np.empty((0, model.config.stage_dims[-1], 0, 0), dtype=model.dtype))
-    return np.concatenate(logits), np.concatenate(modulators)
-
-
 def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.ndarray:
     """Argmax class per clip, batched."""
-    logits, _ = batched_logits(model, (to_model_input(s, out=input_size) for s in clips),
-                               batch_size)
+    logits, _ = logits_and_maps(model, (to_model_input(s, out=input_size) for s in clips),
+                                batch_size)
     return np.argmax(logits, axis=-1).astype(np.int64)
 
 
@@ -131,18 +107,18 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
         clip_ids = [f"clip{i}" for i in range(len(clips))]
     if len(clip_ids) != len(clips):
         raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
-    logits, modulators = batched_logits(model, (to_model_input(s, out=input_size) for s in clips))
+    logits, maps = logits_and_maps(model, (to_model_input(s, out=input_size) for s in clips))
     probs = T.softmax(logits).data
     preds = np.argmax(probs, axis=-1)
 
     def masked_inputs():
         # per clip and q: the interpretation, then its removal
-        for spec, mmap in zip(clips, modulation_map(modulators)):
-            for mask in threshold_mask(mmap, qs, spec.log_mag.shape):
+        for spec, m in zip(clips, maps):
+            for mask in threshold_mask(m, qs, spec.log_mag.shape):
                 yield to_model_input(apply_mask(spec, mask), out=input_size)
                 yield to_model_input(apply_mask(spec, 1 - mask), out=input_size)
 
-    masked, _ = batched_logits(model, masked_inputs())
+    masked, _ = logits_and_maps(model, masked_inputs())
     masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)
     return [EvalRecord(clip_id=cid, q=q, predicted=int(preds[c]),
                        predicted_on_interpretation=int(np.argmax(masked[c, i, 0])),

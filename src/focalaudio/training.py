@@ -43,7 +43,8 @@ from . import tensor as T
 from .audio import FrontendConfig, augment
 from .data import ClipSet
 from .focalnet import FocalNet, FocalNetConfig, cosine
-from .metrics import accuracy, batched_logits
+from .interpret import logits_and_maps
+from .metrics import accuracy
 from .tensor import NumericalError, Tensor, backward
 
 
@@ -82,7 +83,7 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        for name in ("lr_min", "weight_decay"):
+        for name in ("lr_min", "weight_decay", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not self.grad_clip_norm > 0:
@@ -276,7 +277,7 @@ def _clip_seed(seed: int, epoch: int, clip_id: str) -> list:
 
 
 def evaluate_accuracy(model: FocalNet, data: ClipSet, batch_size: int = 16) -> float:
-    logits, _ = batched_logits(model, data.inputs, batch_size)
+    logits, _ = logits_and_maps(model, data.inputs, batch_size)
     return accuracy(np.argmax(logits, axis=-1), data.labels)
 
 
@@ -406,7 +407,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Magic, length, checksum and version are checked, in that order, before
     the header is parsed or anything is built (a file shorter than the magic
-    is reported as truncated); then every Adam moment must belong to a
+    is reported as truncated). The header's `optimizer_t` must be an integer
+    >= 0, and its array index must describe the layout the writer makes:
+    each (kind, name) once and of a kind the writer writes, each record at
+    the running offset from 0 with size x itemsize bytes, the records
+    covering the payload exactly. Then every Adam moment must belong to a
     stored parameter of its shape. Any failure raises `CheckpointError`."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
@@ -428,14 +433,32 @@ def load_checkpoint(path) -> Checkpoint:
     arrays: dict = {}
     try:  # a checksummed file can still come from another writer
         header = json.loads(bytes(body[prefix : prefix + hlen]))
-        for a in header.pop("arrays"):
-            raw = payload[a["offset"] : a["offset"] + a["nbytes"]]
-            arr = np.frombuffer(raw, dtype=a["dtype"]).reshape(a["shape"]).copy()
-            arrays.setdefault(a["kind"], {})[a["name"]] = arr
+        index, t = header.pop("arrays"), header["optimizer_t"]
+        if type(t) is not int or t < 0:
+            raise ValueError(f"optimizer_t {t!r} is not an integer >= 0")
+        offset = 0  # records lie end to end, in order, from the payload's start
+        for a in index:
+            what = f"array {a['kind']} {a['name']}"
+            if a["kind"] not in ("param", "adam_m", "adam_v"):
+                raise ValueError(f"{what} is of no known kind")
+            if a["name"] in arrays.get(a["kind"], {}):
+                raise ValueError(f"{what} is listed twice")
+            shape = a["shape"]
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise ValueError(f"{what} has shape {shape}")
+            nbytes = int(np.prod(shape)) * np.dtype(a["dtype"]).itemsize
+            if (a["offset"], a["nbytes"]) != (offset, nbytes) or offset + nbytes > len(payload):
+                raise ValueError(f"{what} at offset {a['offset']} of {a['nbytes']} bytes, expected "
+                                 f"offset {offset} of {nbytes} within {len(payload)} payload bytes")
+            raw = payload[offset : offset + nbytes]
+            arrays.setdefault(a["kind"], {})[a["name"]] = np.frombuffer(
+                raw, dtype=a["dtype"]).reshape(shape).copy()
+            offset += nbytes
+        if offset != len(payload):
+            raise ValueError(f"the arrays cover {offset} of the payload's {len(payload)} bytes")
         ckpt = Checkpoint(
             params=arrays.get("param", {}),
-            optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}),
-                                t=header["optimizer_t"]),
+            optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}), t=t),
             train_config=TrainConfig(**header["train_config"]),
             model_config=FocalNetConfig(**header["model_config"]),
             frontend=FrontendConfig(**header["frontend"]),

@@ -269,6 +269,15 @@ class TestIstft:
         assert back.samples.size == w.samples.size == 1100
         np.testing.assert_allclose(back.samples, w.samples, rtol=0, atol=1e-5)
 
+    def test_sample_past_the_last_window_comes_back_as_zero(self):
+        # 1,115 = 5 * 186 + 185: the last sample sits 184 samples past the
+        # last frame's centre, one beyond the default window's reach of 183
+        rng = np.random.default_rng(7)
+        w = Waveform(rng.uniform(-0.8, 0.8, 1115).astype(np.float32), 16000)
+        back = istft_reconstruct(stft(w)).samples
+        assert back.size == 1115 and back[-1] == 0.0
+        assert snr_db(w.samples[:-1].astype(np.float64), back[:-1].astype(np.float64)) >= 30.0
+
     def test_nola_violation_raises(self):
         w = sine(500, 1.0, 16000)
         # 2 ms window with 20 ms hop leaves gaps between frames

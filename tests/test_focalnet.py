@@ -381,3 +381,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             FocalNetConfig(stage_depths=(1,), stage_dims=(8,), num_classes=4,
                            focal_levels=2, kernel_sizes=(3, 4))
+
+    # zero and negative values of these fields are rows of test_training's
+    # `test_unreadable_file_rejected`, read from a checkpoint header
+    @pytest.mark.parametrize("field, value, check", [
+        ("logit_scale", float("nan"), "logit_scale must be positive"),
+        # 8 * 0.1 rounds down to no hidden unit in the first stage only
+        ("mlp_ratio", 0.1, "mlp_ratio 0.1 must give every stage"),
+        ("mlp_ratio", float("inf"), "mlp_ratio inf must give every stage a finite"),
+    ], ids=["nan_logit_scale", "mlp_ratio_below_one_unit", "infinite_mlp_ratio"])
+    def test_impossible_value_names_the_field(self, field, value, check):
+        with pytest.raises(ValueError, match=check):
+            FocalNetConfig(**{"stage_depths": (1, 1), "stage_dims": (8, 16), "num_classes": 4,
+                              field: value})

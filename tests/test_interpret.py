@@ -1,12 +1,12 @@
-"""Mask path: modulation maps (single and batched), quantile thresholding,
-masking for the model and for listening."""
+"""Mask path: the logits-and-maps seam, modulation maps (single and
+batched), quantile thresholding, masking for the model and for listening."""
 
 import numpy as np
 import pytest
 
 from focalaudio.audio import Waveform, istft_reconstruct, stft
 from focalaudio.focalnet import FocalNet, FocalNetConfig
-from focalaudio.interpret import apply_mask, modulation_map, threshold_mask
+from focalaudio.interpret import apply_mask, logits_and_maps, modulation_map, threshold_mask
 from focalaudio.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(11)
@@ -49,9 +49,9 @@ def test_mask_entries_other_than_zero_and_one_are_rejected():
     mask = np.ones(spec.log_mag.shape, dtype=np.uint8)
     apply_mask(spec, mask)
     mask[2, 3] = 2
-    for mode in ("for_model", "for_listening"):
+    for fill in (0.0, np.log(spec.frontend.eps)):
         with pytest.raises(ValueError, match="0 or 1"):
-            apply_mask(spec, mask, mode=mode)
+            apply_mask(spec, mask, fill=fill)
 
 
 def test_mask_of_another_shape_is_rejected():
@@ -74,7 +74,7 @@ def test_interpretation_and_removal_partition_the_spectrogram():
 def test_all_masked_listening_spectrogram_is_silent():
     spec = tone_spectrogram()
     none_kept = np.zeros(spec.log_mag.shape, dtype=np.uint8)
-    masked = apply_mask(spec, none_kept, mode="for_listening")
+    masked = apply_mask(spec, none_kept, fill=np.log(spec.frontend.eps))
     back = istft_reconstruct(masked)
     full = istft_reconstruct(spec)
     rms = lambda w: np.sqrt(np.mean(w.samples.astype(np.float64) ** 2))  # noqa: E731
@@ -94,3 +94,22 @@ class TestModulationMap:
         for batched, single in zip(maps, singles, strict=True):
             assert single.shape == (4, 4)
             np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-7)
+
+
+class TestLogitsAndMaps:
+    def test_chunks_give_the_forward_and_its_map(self):
+        model = FocalNet(FocalNetConfig.tiny(4), seed=0)
+        x = RNG.standard_normal((5, 3, 32, 32)).astype(np.float32)
+        logits, maps = logits_and_maps(model, iter(x), batch_size=2)
+        assert logits.shape == (5, 4) and maps.shape == (5, 4, 4)
+        with no_grad():
+            whole, modulator = model.forward(x)
+        np.testing.assert_allclose(logits, whole.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(maps, modulation_map(modulator), rtol=1e-5, atol=1e-7)
+
+    def test_no_inputs_and_no_batch_rejected(self):
+        model = FocalNet(FocalNetConfig.tiny(4), seed=0)
+        with pytest.raises(ValueError, match="empty input set"):
+            logits_and_maps(model, [])
+        with pytest.raises(ValueError, match="batch_size"):
+            logits_and_maps(model, [np.zeros((3, 32, 32), np.float32)], batch_size=0)

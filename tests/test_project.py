@@ -110,8 +110,12 @@ def test_every_package_import_is_used():
 
 # The package modules each listed module may import. The frontend and the
 # tape sit below every other module; the mask path reads plain arrays, so it
-# needs neither the model nor the metrics.
-ALLOWED_IMPORTS = {"audio": (), "tensor": (), "interpret": ("audio", "tensor")}
+# needs neither the model nor the metrics; the model is built on the tape
+# alone; the dataset reads clips through the frontend; the scorer reaches a
+# model only through `interpret.logits_and_maps`, so it never imports one.
+ALLOWED_IMPORTS = {"audio": (), "tensor": (), "interpret": ("audio", "tensor"),
+                   "focalnet": ("tensor",), "data": ("audio",),
+                   "metrics": ("audio", "interpret", "tensor")}
 
 
 def _package_imports(node) -> list:

@@ -239,6 +239,24 @@ def rewrite_header(blob: bytes, edit) -> bytes:
     return rewrite_trailer(blob[:12] + struct.pack("<Q", len(head)) + head + blob[20 + hlen :])
 
 
+def with_record(h: dict, of_kind: str, name: str, **changes) -> dict:
+    """Header `h` with the array record of (of_kind, name) changed."""
+    return {**h, "arrays": [{**a, **changes} if (a["kind"], a["name"]) == (of_kind, name) else a
+                            for a in h["arrays"]]}
+
+
+def record(h: dict, kind: str, name: str) -> dict:
+    return next(a for a in h["arrays"] if (a["kind"], a["name"]) == (kind, name))
+
+
+def payload_bytes(h: dict) -> int:
+    return sum(a["nbytes"] for a in h["arrays"])
+
+
+def model_field(name, value):
+    return lambda b: rewrite_header(b, lambda h: {**h, "model_config": {**h["model_config"], name: value}})
+
+
 class TestCheckpoint:
     def test_round_trip_of_fit_checkpoint(self, fitted, tmp_path):
         net, ckpt = fitted
@@ -295,13 +313,51 @@ class TestCheckpoint:
         (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": -1e-5}}),
          "malformed header: ValueError.*lr_min must be >= 0"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
+        # model and train configs that would build, then fail or mislead at the first use
+        (model_field("patch_size", 0), "malformed header: ValueError.*patch_size must be at least 1"),
+        (model_field("logit_scale", -30.0), "malformed header: ValueError.*logit_scale must be positive"),
+        (model_field("mlp_ratio", 0.0), "malformed header: ValueError.*mlp_ratio 0.0 must give every stage"),
+        (model_field("norm_eps", 0.0), "malformed header: ValueError.*norm_eps must be positive"),
+        (model_field("stage_dims", [0, 8]), "malformed header: ValueError.*stage_dims must be positive"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "seed": -1}}),
+         "malformed header: ValueError.*seed must be >= 0"),
+        # an Adam step that is not a count divides by zero (t = -1) or is fractional on resume
+        (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": -1}),
+         "malformed header: ValueError.*optimizer_t -1 is not an integer >= 0"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": 2.5}),
+         "malformed header: ValueError.*optimizer_t 2.5 is not an integer >= 0"),
+        # an index that does not describe the writer's layout
+        (lambda b: rewrite_header(b, lambda h: with_record(
+            h, "param", "head.weight", offset=record(h, "adam_m", "head.weight")["offset"])),
+         "malformed header: ValueError.*array param head.weight at offset \\d+ of 256 bytes, expected"),
+        (lambda b: rewrite_header(b, lambda h: with_record(
+            h, "param", "head.weight", offset=record(h, "param", "head.weight")["offset"] - payload_bytes(h))),
+         "malformed header: ValueError.*array param head.weight at offset -\\d+ of 256 bytes, expected"),
+        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", nbytes=260)),
+         "malformed header: ValueError.*array adam_v head.weight at offset \\d+ of 260 bytes, expected"),
+        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", shape=[-1, 16])),
+         "malformed header: ValueError.*array adam_v head.weight has shape \\[-1, 16\\]"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": h["arrays"] + h["arrays"][:1]}),
+         "malformed header: ValueError.*array param \\S+ is listed twice"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": h["arrays"][:-1]}),
+         "malformed header: ValueError.*the arrays cover \\d+ of the payload's \\d+ bytes"),
+        # an unknown kind would load and then be dropped, losing a moment
+        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", kind="adam_w")),
+         "malformed header: ValueError.*array adam_w head.weight is of no known kind"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
             "header_with_invalid_frontend", "header_with_negative_clip_norm",
             "header_with_zero_clip_norm", "header_with_nan_clip_norm",
             "header_with_negative_weight_decay", "header_with_negative_lr_min",
-            "header_not_an_object"])
+            "header_not_an_object", "header_with_zero_patch_size",
+            "header_with_negative_logit_scale", "header_with_zero_mlp_ratio",
+            "header_with_zero_norm_eps", "header_with_zero_stage_dim",
+            "header_with_negative_seed", "header_with_negative_optimizer_t",
+            "header_with_fractional_optimizer_t", "record_pointing_at_another_array",
+            "record_with_negative_offset", "record_with_wrong_nbytes",
+            "record_with_negative_shape", "record_listed_twice", "record_missing",
+            "record_of_unknown_kind"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
