@@ -4,7 +4,7 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (1), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (2), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
@@ -13,7 +13,9 @@ step `optimizer_t`, and `arrays`, the index of the payload. It holds one
 {kind, name, dtype, shape, offset, nbytes} record per little-endian array
 (float64 stays "<f8", everything else is stored as "<f4"), written kind by
 kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
-kind.
+kind. Version 2's `model_config` holds `stage_depths`, `stage_dims`,
+`num_classes` and `kernel_sizes`. A version-1 file, whose configs also held
+the architecture constants and the loss scale, is refused by its version.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -42,7 +44,7 @@ import numpy as np
 from . import tensor as T
 from .audio import FrontendConfig, augment
 from .data import ClipSet
-from .focalnet import FocalNet, FocalNetConfig, cosine
+from .focalnet import LOGIT_SCALE, FocalNet, FocalNetConfig, cosine
 from .interpret import logits_and_maps
 from .metrics import accuracy
 from .tensor import NumericalError, Tensor, backward
@@ -66,7 +68,8 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     """Optimization hyperparameters; the defaults are the full-scale preset
     (batch 16, 100 epochs, lr 1e-8 to 2e-4 with step size 65000, weight decay
-    2e-6, clip 5, margin 0.2, scale 30, augment probability 0.75)."""
+    2e-6, clip 5, margin 0.2, augment probability 0.75). The loss's scale is
+    the model head's, `focalnet.LOGIT_SCALE`."""
 
     batch_size: int = 16
     epochs: int = 100
@@ -76,14 +79,13 @@ class TrainConfig:
     weight_decay: float = 2e-6
     grad_clip_norm: float = 5.0
     am_margin: float = 0.2
-    am_scale: float = 30.0
     augment_prob: float = 0.75
     seed: int = 0
 
     def __post_init__(self):
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        for name in ("lr_min", "weight_decay", "seed"):
+        for name in ("lr_min", "weight_decay", "am_margin", "seed"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not self.grad_clip_norm > 0:
@@ -91,8 +93,6 @@ class TrainConfig:
         for name in ("batch_size", "epochs", "step_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.am_margin < 0 or self.am_scale <= 0:
-            raise ValueError("margin must be >= 0 and scale > 0")
         if not 0.0 <= self.augment_prob <= 1.0:
             raise ValueError("augment_prob must be in [0, 1]")
 
@@ -112,10 +112,10 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
                     scale: float, clip_ids=None) -> Tensor:
     """Cross-entropy over scale * (cosine - margin at the true class).
 
-    The cosine is `focalnet.cosine`, the model head's own. A missing,
-    fractional or out-of-range label is a `ValueError` and a zero-norm
-    feature row a numerical error, each naming the clip id when given, else
-    the batch row.
+    The cosine is `focalnet.cosine`, the model head's own, and `fit` passes
+    the head's scale, `focalnet.LOGIT_SCALE`. A missing, fractional or
+    out-of-range label is a `ValueError` and a zero-norm feature row a
+    numerical error, each naming the clip id when given, else the batch row.
     """
     if margin < 0 or scale <= 0:
         raise ValueError("margin must be >= 0 and scale > 0")
@@ -291,6 +291,8 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     `optimizer_state` (updated in place) keeps its loss curve and Adam state
     bitwise but loses its `history` and best-on-validation choice: `history`
     starts at `start_epoch` and `best` is chosen among the resumed epochs.
+    The loss is `am_softmax_loss` at the head's scale, `focalnet.LOGIT_SCALE`,
+    the one `predict_proba`, FID-I and FA score at.
 
     Each step logs `step` (Adam's `t` before it), `lr`, `loss` and
     `grad_norm`, which are deterministic, plus `step_s` (wall time of
@@ -325,7 +327,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 model.zero_grad()
                 feats, _ = model.forward_features(xb)
                 loss = am_softmax_loss(feats, model.head.weight, yb,
-                                       config.am_margin, config.am_scale,
+                                       config.am_margin, LOGIT_SCALE,
                                        clip_ids=[train.clip_ids[i] for i in idx])
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
@@ -369,7 +371,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -190,9 +190,9 @@ class TestGradientSharing:
             np.testing.assert_array_equal(first[name], kept[name], err_msg=name)
 
 
-# SHA-256 and model_id of the file `pinned_checkpoint` writes, recorded
-# before checkpoints and spectrograms shared one container writer
-PINNED_CKPT_SHA256 = "34ccca2552ae769af4652af7242e6531620961ef05419a54f87faa66c0c5d207"
+# SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
+# is of the version-2 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "7ac4692b2f30c1b5aa41f5ae998970c8295793e225739815dc5359d253b0769c"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -253,8 +253,8 @@ def payload_bytes(h: dict) -> int:
     return sum(a["nbytes"] for a in h["arrays"])
 
 
-def model_field(name, value):
-    return lambda b: rewrite_header(b, lambda h: {**h, "model_config": {**h["model_config"], name: value}})
+def model_field(**fields):
+    return lambda b: rewrite_header(b, lambda h: {**h, "model_config": {**h["model_config"], **fields}})
 
 
 class TestCheckpoint:
@@ -289,7 +289,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 2) + b[12:]), "unsupported version 2"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 1) + b[12:]), "unsupported version 1, expected 2"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
@@ -314,11 +314,18 @@ class TestCheckpoint:
          "malformed header: ValueError.*lr_min must be >= 0"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
         # model and train configs that would build, then fail or mislead at the first use
-        (model_field("patch_size", 0), "malformed header: ValueError.*patch_size must be at least 1"),
-        (model_field("logit_scale", -30.0), "malformed header: ValueError.*logit_scale must be positive"),
-        (model_field("mlp_ratio", 0.0), "malformed header: ValueError.*mlp_ratio 0.0 must give every stage"),
-        (model_field("norm_eps", 0.0), "malformed header: ValueError.*norm_eps must be positive"),
-        (model_field("stage_dims", [0, 8]), "malformed header: ValueError.*stage_dims must be positive"),
+        (model_field(stage_dims=[0, 8]), "malformed header: ValueError.*stage_dims must be positive"),
+        (model_field(stage_depths=[], stage_dims=[]),
+         "malformed header: ValueError.*stage_depths must be positive integers"),
+        (model_field(kernel_sizes=[]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
+        (model_field(kernel_sizes=[3, -1]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
+        (model_field(kernel_sizes=[3, True]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
+        (model_field(stage_depths=[1.5, 1]), "malformed header: ValueError.*stage_depths must be positive integers"),
+        (model_field(stage_dims=[8.5, 16]), "malformed header: ValueError.*stage_dims must be positive integers"),
+        (model_field(kernel_sizes=[3, 5.5]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
+        (model_field(num_classes=2.5), "malformed header: ValueError.*num_classes must be an integer >= 2"),
+        # a field the version-1 header had is refused, not ignored
+        (model_field(focal_levels=2), "malformed header: TypeError.*focal_levels"),
         (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "seed": -1}}),
          "malformed header: ValueError.*seed must be >= 0"),
         # an Adam step that is not a count divides by zero (t = -1) or is fractional on resume
@@ -350,9 +357,11 @@ class TestCheckpoint:
             "header_with_invalid_frontend", "header_with_negative_clip_norm",
             "header_with_zero_clip_norm", "header_with_nan_clip_norm",
             "header_with_negative_weight_decay", "header_with_negative_lr_min",
-            "header_not_an_object", "header_with_zero_patch_size",
-            "header_with_negative_logit_scale", "header_with_zero_mlp_ratio",
-            "header_with_zero_norm_eps", "header_with_zero_stage_dim",
+            "header_not_an_object", "header_with_zero_stage_dim", "header_with_no_stages",
+            "header_with_no_kernels", "header_with_negative_kernel", "header_with_bool_kernel",
+            "header_with_fractional_stage_depth", "header_with_fractional_stage_dim",
+            "header_with_fractional_kernel", "header_with_fractional_num_classes",
+            "header_with_focal_levels",
             "header_with_negative_seed", "header_with_negative_optimizer_t",
             "header_with_fractional_optimizer_t", "record_pointing_at_another_array",
             "record_with_negative_offset", "record_with_wrong_nbytes",
