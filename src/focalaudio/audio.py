@@ -7,20 +7,19 @@ The frontend turns a clip into the image-like input the classifier consumes:
 
 and back again: a (possibly masked) log magnitude plus the retained phase is
 inverted with a window-sum-normalized overlap-add, so interpretations stay
-listenable. The last frame's centre can sit up to hop - 2 samples before a
-clip's end, and a window shorter than about twice the hop may not reach that
-far; the inverse returns such trailing samples as 0, since no frame saw
-them. At the defaults that is the last sample of a clip whose length is 185
-mod 186.
+listenable.
 
-STFT convention (fixed): Hann window (periodic) of ``round(win_ms * rate /
-1000)`` samples, zero-padded symmetrically to ``n_fft``; frames centered via
-reflect padding of ``n_fft // 2`` on both ends; frame count ``1 +
-len(samples) // hop``. With the defaults (16 kHz, n_fft 1024, 23 ms window,
-11.625 ms hop = 186 samples) a 5 s clip maps to exactly 513 x 431 cells.
-A literal 11 ms hop (176 samples) would give 455 frames and contradict the
-published spectrogram size, so the default hop is the one that reproduces
-it; both are accepted as `FrontendConfig` values.
+The STFT convention is fixed, and the module constants state it: clips at
+`SAMPLE_RATE` (16 kHz), a periodic Hann window of `WIN_LENGTH` samples
+(23 ms) zero-padded symmetrically to `N_FFT` (1024) points (`WINDOW`),
+frames centered via reflect padding of ``N_FFT // 2`` on both ends, a hop
+of `HOP_LENGTH` samples (11.625 ms) and ``1 + len(samples) // HOP_LENGTH``
+frames, log magnitudes floored at `LOG_EPS`. A 5 s clip maps to exactly
+513 x 431 cells. `FrontendConfig` holds only what varies, the model input's
+side. A clip's last sample can sit up to HOP_LENGTH - 2 = 184 samples past
+the last frame's centre, one beyond the window's reach of 183, so the
+inverse returns the last sample of a clip whose length is 185 mod 186 as 0:
+no frame saw it.
 
 Bilinear resizing (the input shrink here, the mask upsampling in
 `interpret`) uses align-corners sampling: output corner pixels map onto
@@ -39,15 +38,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import resample_poly
 
+SAMPLE_RATE = 16000
+N_FFT = 1024
+WIN_LENGTH = 368  # 23 ms
+# 11.625 ms; a literal 11 ms hop (176 samples) would give a 5 s clip 455
+# frames, not the published 431
+HOP_LENGTH = 186
 LOG_EPS = 1e-10
+
+# the periodic Hann window, zero-padded symmetrically to N_FFT points
+WINDOW = np.pad(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WIN_LENGTH) / WIN_LENGTH)),
+                (N_FFT - WIN_LENGTH) // 2)
+WINDOW.flags.writeable = False
 
 
 class WavFormatError(ValueError):
     """Malformed or unsupported RIFF/WAVE content."""
-
-
-class ConfigError(ValueError):
-    """STFT parameters outside the supported (invertible) regime."""
 
 
 @dataclass
@@ -72,58 +78,29 @@ class Waveform:
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Everything needed to map a clip to a model input, checkpointable."""
+    """The frontend setting that varies, checkpointable: the model input's
+    side. The STFT geometry is the module constants."""
 
-    sample_rate: int = 16000
-    n_fft: int = 1024
-    win_ms: float = 23.0
-    hop_ms: float = 11.625
-    eps: float = LOG_EPS
     input_size: int = 224
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.input_size < 1:
-            raise ConfigError(f"input_size must be at least 1, got {self.input_size}")
-        if self.win_length < 1:
-            raise ConfigError(f"window of {self.win_ms} ms is shorter than one sample")
-        if self.win_length > self.n_fft:
-            raise ConfigError(f"window of {self.win_length} samples exceeds n_fft {self.n_fft}")
-        if self.hop_length < 1:
-            raise ConfigError("hop must be at least one sample")
-        # the 1 + N // hop centered frames reach a clip's last sample only
-        # when the hop is at most half a frame plus one
-        if self.hop_length > self.n_fft // 2 + 1:
-            raise ConfigError(
-                f"hop_length {self.hop_length} exceeds n_fft // 2 + 1 = {self.n_fft // 2 + 1}; "
-                "the frames would stop short of the clip's end"
-            )
-
-    @property
-    def win_length(self) -> int:
-        return round(self.win_ms * self.sample_rate / 1000.0)
-
-    @property
-    def hop_length(self) -> int:
-        return round(self.hop_ms * self.sample_rate / 1000.0)
+        if not (type(self.input_size) is int and self.input_size >= 1):
+            raise ValueError(f"input_size must be an integer >= 1, got {self.input_size!r}")
 
 
 @dataclass
 class Spectrogram:
-    """Log-magnitude and phase of a clip of `num_samples` samples, with the
-    `frontend` that made them; `istft_reconstruct` inverts with it."""
+    """Log-magnitude and phase [N_FFT // 2 + 1, frames] of a clip of
+    `num_samples` samples; `istft_reconstruct` inverts them."""
 
     log_mag: np.ndarray
     phase: np.ndarray
-    frontend: FrontendConfig
     num_samples: int
 
     def __post_init__(self):
-        expected = self.frontend.n_fft // 2 + 1
-        if self.log_mag.shape[0] != expected:
+        if self.log_mag.shape[0] != N_FFT // 2 + 1:
             raise ValueError(
-                f"freq_bins {self.log_mag.shape[0]} != n_fft/2+1 = {expected}"
+                f"freq_bins {self.log_mag.shape[0]} != n_fft/2+1 = {N_FFT // 2 + 1}"
             )
         if self.log_mag.shape != self.phase.shape:
             raise ValueError("log_mag and phase shapes differ")
@@ -243,77 +220,54 @@ def resample(w: Waveform, target_rate: int) -> Waveform:
 # STFT / inverse STFT
 # ---------------------------------------------------------------------------
 
-def _periodic_hann(n: int) -> np.ndarray:
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / n))
-
-
-def _padded_window(win_length: int, n_fft: int) -> np.ndarray:
-    w = _periodic_hann(win_length)
-    lead = (n_fft - win_length) // 2
-    return np.pad(w, (lead, n_fft - win_length - lead))
-
-
-def stft(w: Waveform, cfg: FrontendConfig = FrontendConfig()) -> Spectrogram:
+def stft(w: Waveform) -> Spectrogram:
     """Centered STFT with reflect padding; see module docstring for the
-    frame-count convention. The clip must already be at `cfg.sample_rate`."""
-    if w.sample_rate != cfg.sample_rate:
+    frame-count convention. The clip must already be at `SAMPLE_RATE`."""
+    if w.sample_rate != SAMPLE_RATE:
         raise ValueError(
-            f"clip at {w.sample_rate} Hz, frontend at {cfg.sample_rate} Hz; resample first"
+            f"clip at {w.sample_rate} Hz, frontend at {SAMPLE_RATE} Hz; resample first"
         )
-    if w.samples.size < cfg.win_length:
+    if w.samples.size < WIN_LENGTH:
         raise ValueError(
-            f"clip of {w.samples.size} samples is shorter than one window ({cfg.win_length})"
+            f"clip of {w.samples.size} samples is shorter than one window ({WIN_LENGTH})"
         )
-    window = _padded_window(cfg.win_length, cfg.n_fft)
-    half = cfg.n_fft // 2
-    x = np.pad(w.samples.astype(np.float64), half, mode="reflect")
-    n_frames = 1 + w.samples.size // cfg.hop_length
-    starts = np.arange(n_frames) * cfg.hop_length
-    frames = np.lib.stride_tricks.sliding_window_view(x, cfg.n_fft)[starts] * window
+    x = np.pad(w.samples.astype(np.float64), N_FFT // 2, mode="reflect")
+    starts = np.arange(1 + w.samples.size // HOP_LENGTH) * HOP_LENGTH
+    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[starts] * WINDOW
     spec = np.fft.rfft(frames, axis=1).T  # [freq_bins, frames]
-    log_mag = np.log(np.abs(spec) + cfg.eps).astype(np.float32)
+    log_mag = np.log(np.abs(spec) + LOG_EPS).astype(np.float32)
     phase = np.angle(spec).astype(np.float32)
-    return Spectrogram(log_mag=log_mag, phase=phase, frontend=cfg,
-                       num_samples=int(w.samples.size))
+    return Spectrogram(log_mag=log_mag, phase=phase, num_samples=int(w.samples.size))
 
 
 def istft_reconstruct(spec: Spectrogram) -> Waveform:
-    """Overlap-add inverse with window-sum normalization, at the geometry and
-    rate of the frontend that made `spec`.
+    """Overlap-add inverse with window-sum normalization, at `SAMPLE_RATE`.
 
-    Masked-out cells floored at log(eps) synthesize as (near) zero magnitude,
-    so an all-masked spectrogram reconstructs as silence. A window/hop pair
-    whose squared-window envelope has a hole between reached samples raises
-    `ConfigError`. Samples past the reach of the last frame's window come
-    back as 0: the STFT holds nothing of them. For a window nonzero up to r
-    samples from its frame's centre there are at most hop - 2 - r of them
-    (1 at the defaults, r = 183, when the length is 185 mod 186).
+    Masked-out cells floored at log(LOG_EPS) synthesize as (near) zero
+    magnitude, so an all-masked spectrogram reconstructs as silence. Samples
+    past the reach of the last frame's window come back as 0: the STFT holds
+    nothing of them. That is the last sample of a clip whose length is 185
+    mod 186, 184 samples past the last frame's centre against the window's
+    183.
     """
-    cfg, num_samples = spec.frontend, spec.num_samples
-    mag = np.exp(spec.log_mag.astype(np.float64)) - cfg.eps
+    num_samples = spec.num_samples
+    mag = np.exp(spec.log_mag.astype(np.float64)) - LOG_EPS
     np.clip(mag, 0.0, None, out=mag)
     z = mag * np.exp(1j * spec.phase.astype(np.float64))
-    frames = np.fft.irfft(z.T, n=cfg.n_fft, axis=1)
-    window = _padded_window(cfg.win_length, cfg.n_fft)
-    hop, n_fft = cfg.hop_length, cfg.n_fft
-    half = n_fft // 2
-    total = (frames.shape[0] - 1) * hop + n_fft
-    wsq = window * window
+    frames = np.fft.irfft(z.T, n=N_FFT, axis=1)
+    half = N_FFT // 2
+    total = (frames.shape[0] - 1) * HOP_LENGTH + N_FFT
+    wsq = WINDOW * WINDOW
     y = np.zeros(total)
     env = np.zeros(total)
     for i in range(frames.shape[0]):
-        y[i * hop : i * hop + n_fft] += frames[i] * window
-        env[i * hop : i * hop + n_fft] += wsq
+        y[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += frames[i] * WINDOW
+        env[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += wsq
     reached = env[half : half + num_samples] >= 1e-10
     end = num_samples - int(np.argmax(reached[::-1]))  # one past the last reached sample
-    if not reached[:end].all():
-        raise ConfigError(
-            "window/hop combination violates the nonzero-overlap-add condition; "
-            "the inverse STFT would divide by ~0"
-        )
     y /= np.maximum(env, 1e-12)
     y[half + end :] = 0.0
-    return Waveform(y[half : half + num_samples], cfg.sample_rate)
+    return Waveform(y[half : half + num_samples], SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +323,9 @@ def to_model_input(s: Spectrogram, out: int) -> np.ndarray:
 
 def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarray]:
     """Full clip-to-input path: resample, STFT, pack."""
-    if w.sample_rate != cfg.sample_rate:
-        w = resample(w, cfg.sample_rate)
-    spec = stft(w, cfg)
+    if w.sample_rate != SAMPLE_RATE:
+        w = resample(w, SAMPLE_RATE)
+    spec = stft(w)
     return spec, to_model_input(spec, out=cfg.input_size)
 
 

@@ -12,7 +12,7 @@ fraction is close to 1 - q), giving one uint8 0/1 mask per q.
 `apply_mask(spec, mask, fill)` keeps the log magnitude of the cells the mask
 keeps and sets every other cell to `fill`: 0 (magnitude 1) for the inputs the
 metrics evaluate, the interpretation and, with `1 - mask`, its removal;
-log(eps) for listening, so masked cells reconstruct as silence.
+`log(LOG_EPS)` for listening, so masked cells reconstruct as silence.
 `listenable_interpretation` runs that whole path for one clip and returns
 the waveform, `istft_reconstruct(spec)` of the listening spectrogram;
 `audio.save_wav` writes it.
@@ -25,7 +25,8 @@ from itertools import islice
 
 import numpy as np
 
-from .audio import Spectrogram, Waveform, bilinear_resize_array, istft_reconstruct, preprocess
+from .audio import (LOG_EPS, Spectrogram, Waveform, bilinear_resize_array, istft_reconstruct,
+                    preprocess)
 from .tensor import no_grad
 
 
@@ -79,8 +80,8 @@ def apply_mask(s: Spectrogram, mask: np.ndarray, fill: float = 0.0) -> Spectrogr
 
 
 def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
-    """Full pipeline: preprocess, forward, mask to log(eps), reconstruct."""
+    """Full pipeline: preprocess, forward, mask to log(LOG_EPS), reconstruct."""
     spec, x = preprocess(clip, frontend)
     _, [m] = logits_and_maps(model, [x])
     [mask] = threshold_mask(m, [q], spec.log_mag.shape)
-    return istft_reconstruct(apply_mask(spec, mask, fill=np.log(frontend.eps)))
+    return istft_reconstruct(apply_mask(spec, mask, fill=np.log(LOG_EPS)))

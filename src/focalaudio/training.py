@@ -4,7 +4,7 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (2), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (3), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
@@ -13,9 +13,11 @@ step `optimizer_t`, and `arrays`, the index of the payload. It holds one
 {kind, name, dtype, shape, offset, nbytes} record per little-endian array
 (float64 stays "<f8", everything else is stored as "<f4"), written kind by
 kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
-kind. Version 2's `model_config` holds `stage_depths`, `stage_dims`,
-`num_classes` and `kernel_sizes`. A version-1 file, whose configs also held
-the architecture constants and the loss scale, is refused by its version.
+kind. Version 3's `model_config` holds `stage_depths`, `stage_dims`,
+`num_classes` and `kernel_sizes`, and its `frontend` holds `input_size`
+alone. Older files are refused by their version: version 1's configs also
+held the architecture constants and the loss scale, and version 2's
+`frontend` also held the STFT geometry, now `audio`'s constants.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -85,14 +87,15 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        for name in ("lr_min", "weight_decay", "am_margin", "seed"):
+        for name in ("lr_min", "weight_decay", "am_margin"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not self.grad_clip_norm > 0:
             raise ValueError("grad_clip_norm must be positive")
-        for name in ("batch_size", "epochs", "step_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for name, least in (("batch_size", 1), ("epochs", 1), ("step_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (type(value) is int and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 <= self.augment_prob <= 1.0:
             raise ValueError("augment_prob must be in [0, 1]")
 
@@ -371,7 +374,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -191,8 +191,8 @@ class TestGradientSharing:
 
 
 # SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
-# is of the version-2 file, the model_id of the parameters alone
-PINNED_CKPT_SHA256 = "7ac4692b2f30c1b5aa41f5ae998970c8295793e225739815dc5359d253b0769c"
+# is of the version-3 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "9f7a670f2a0adb99ff56e5ab3069c8dd1230c8ddd78d2f764fe4b7ea089ae053"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -253,8 +253,17 @@ def payload_bytes(h: dict) -> int:
     return sum(a["nbytes"] for a in h["arrays"])
 
 
+def header_field(config: str, **fields):
+    """A corruption setting `fields` of the header's `config` dict."""
+    return lambda b: rewrite_header(b, lambda h: {**h, config: {**h[config], **fields}})
+
+
 def model_field(**fields):
-    return lambda b: rewrite_header(b, lambda h: {**h, "model_config": {**h["model_config"], **fields}})
+    return header_field("model_config", **fields)
+
+
+def train_field(**fields):
+    return header_field("train_config", **fields)
 
 
 class TestCheckpoint:
@@ -289,29 +298,23 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 1) + b[12:]), "unsupported version 1, expected 2"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 2) + b[12:]), "unsupported version 2, expected 3"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
         (lambda b: rewrite_header(b, lambda h: {k: v for k, v in h.items() if k != "optimizer_t"}),
          "malformed header: KeyError\\('optimizer_t'\\)"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "momentum": 0.9}}),
-         "malformed header: TypeError.*momentum"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": 1.0}}),
-         "malformed header: ValueError.*lr_min"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "frontend": {**h["frontend"], "win_ms": 100.0}}),
-         "malformed header: ConfigError.*1600 samples exceeds n_fft 1024"),
+        (train_field(momentum=0.9), "malformed header: TypeError.*momentum"),
+        (train_field(lr_min=1.0), "malformed header: ValueError.*lr_min"),
+        # a field the version-2 header had is refused, not ignored
+        (header_field("frontend", win_ms=100.0), "malformed header: TypeError.*win_ms"),
         # a negative clip norm turns every clipped step uphill, a zero one freezes training
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": -5.0}}),
+        (train_field(grad_clip_norm=-5.0), "malformed header: ValueError.*grad_clip_norm must be positive"),
+        (train_field(grad_clip_norm=0.0), "malformed header: ValueError.*grad_clip_norm must be positive"),
+        (train_field(grad_clip_norm=float("nan")),
          "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": 0.0}}),
-         "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "grad_clip_norm": float("nan")}}),
-         "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "weight_decay": -2e-6}}),
-         "malformed header: ValueError.*weight_decay must be >= 0"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "lr_min": -1e-5}}),
-         "malformed header: ValueError.*lr_min must be >= 0"),
+        (train_field(weight_decay=-2e-6), "malformed header: ValueError.*weight_decay must be >= 0"),
+        (train_field(lr_min=-1e-5), "malformed header: ValueError.*lr_min must be >= 0"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
         # model and train configs that would build, then fail or mislead at the first use
         (model_field(stage_dims=[0, 8]), "malformed header: ValueError.*stage_dims must be positive"),
@@ -326,8 +329,14 @@ class TestCheckpoint:
         (model_field(num_classes=2.5), "malformed header: ValueError.*num_classes must be an integer >= 2"),
         # a field the version-1 header had is refused, not ignored
         (model_field(focal_levels=2), "malformed header: TypeError.*focal_levels"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "train_config": {**h["train_config"], "seed": -1}}),
-         "malformed header: ValueError.*seed must be >= 0"),
+        (train_field(seed=-1), "malformed header: ValueError.*seed must be an integer >= 0"),
+        # a fraction would fail only at its first use, in numpy
+        (train_field(seed=1.5), "malformed header: ValueError.*seed must be an integer >= 0, got 1.5"),
+        (train_field(batch_size=1.5),
+         "malformed header: ValueError.*batch_size must be an integer >= 1, got 1.5"),
+        (train_field(epochs=2.5), "malformed header: ValueError.*epochs must be an integer >= 1, got 2.5"),
+        (header_field("frontend", input_size=96.5),
+         "malformed header: ValueError.*input_size must be an integer >= 1, got 96.5"),
         # an Adam step that is not a count divides by zero (t = -1) or is fractional on resume
         (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": -1}),
          "malformed header: ValueError.*optimizer_t -1 is not an integer >= 0"),
@@ -362,7 +371,9 @@ class TestCheckpoint:
             "header_with_fractional_stage_depth", "header_with_fractional_stage_dim",
             "header_with_fractional_kernel", "header_with_fractional_num_classes",
             "header_with_focal_levels",
-            "header_with_negative_seed", "header_with_negative_optimizer_t",
+            "header_with_negative_seed", "header_with_fractional_seed",
+            "header_with_fractional_batch_size", "header_with_fractional_epochs",
+            "header_with_fractional_input_size", "header_with_negative_optimizer_t",
             "header_with_fractional_optimizer_t", "record_pointing_at_another_array",
             "record_with_negative_offset", "record_with_wrong_nbytes",
             "record_with_negative_shape", "record_listed_twice", "record_missing",
