@@ -71,8 +71,8 @@ class Waveform:
             raise ValueError("Waveform needs a non-empty 1-d sample array")
         if not np.isfinite(s).all():
             raise ValueError("Waveform contains NaN/Inf samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (type(self.sample_rate) is int and self.sample_rate > 0):
+            raise ValueError(f"sample_rate must be a positive integer, got {self.sample_rate!r}")
         self.samples = np.clip(s, -1.0, 1.0).astype(np.float32, copy=False)
 
 
@@ -202,8 +202,8 @@ def save_wav(w: Waveform, path, pcm16: bool = False) -> None:
 
 def resample(w: Waveform, target_rate: int) -> Waveform:
     """Polyphase resampling; output length is round(len * target / source)."""
-    if target_rate <= 0:
-        raise ValueError("target_rate must be positive")
+    if not (type(target_rate) is int and target_rate > 0):
+        raise ValueError(f"target_rate must be a positive integer, got {target_rate!r}")
     if target_rate == w.sample_rate:
         return Waveform(w.samples.copy(), w.sample_rate)
     g = math.gcd(target_rate, w.sample_rate)

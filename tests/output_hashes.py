@@ -6,7 +6,12 @@ change leaves the numbers bit for bit where they were.
 Run it on two trees and compare the lines. It pins no values: the hashes
 depend on the BLAS build, so they are only comparable on one machine.
 
-Outputs, on the `interpret_desk` benchmark pool of seed 0 (8 synthetic
+First, one no_grad `FocalNet.forward` of an untrained seed-0 desk model on
+a fixed float32 batch (4 standard-normal inputs of seed 0 at 96x96): its
+logits and modulator bytes. A change to a forward kernel shows there
+apart from the fit.
+
+Then, on the `interpret_desk` benchmark pool of seed 0 (8 synthetic
 clips, 5 s at 44.1 kHz, an untrained seed-0 desk model at 96x96):
 `evaluate` records at 5 q, the per-clip sweep entries, `predict_batch` at
 batch size 3 and the q = 0.9 listening waveforms. Then a 2-epoch desk `fit`
@@ -27,6 +32,7 @@ import numpy as np
 from focalaudio import audio, data, interpret, metrics, training
 from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import FocalNet, FocalNetConfig
+from focalaudio.tensor import Tensor, no_grad
 
 Q = (0.1, 0.3, 0.5, 0.7, 0.9)
 TIMING_KEYS = ("step_s", "clips_per_s")
@@ -37,6 +43,15 @@ def sha(*parts) -> str:
     for part in parts:
         h.update(part if isinstance(part, bytes) else json.dumps(part, sort_keys=True).encode())
     return h.hexdigest()
+
+
+def forward_hashes() -> dict:
+    model = FocalNet(FocalNetConfig.desk(len(data.SYNTH_CLASSES)), seed=0)
+    x = np.random.default_rng(0).standard_normal((4, 3, 96, 96)).astype(np.float32)
+    with no_grad():
+        logits, modulator = model.forward(Tensor(x))
+    return {"desk_forward": sha(np.ascontiguousarray(logits.data).tobytes(),
+                                np.ascontiguousarray(modulator).tobytes())}
 
 
 def interpretation_hashes(root: Path) -> dict:
@@ -77,7 +92,7 @@ def fit_hashes(root: Path) -> dict:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        out = {**interpretation_hashes(Path(tmp)), **fit_hashes(Path(tmp))}
+        out = {**forward_hashes(), **interpretation_hashes(Path(tmp)), **fit_hashes(Path(tmp))}
     for name, digest in out.items():
         print(f"{name} {digest}")
 

@@ -2,6 +2,7 @@
 contract (513x431 for 5 s at 16 kHz), inverse-STFT reconstruction quality,
 bilinear resizing, input packing and augmentation determinism."""
 
+import re
 import struct
 from dataclasses import replace
 
@@ -132,6 +133,15 @@ class TestWavIO:
         with pytest.raises(ValueError):
             Waveform(np.array([], dtype=np.float32), 16000)
 
+    @pytest.mark.parametrize(
+        "rate", [44100.0, 16000.0, True, np.int64(16000), 0, -8000],
+        ids=["float_44100", "float_16000", "bool", "numpy_int", "zero", "negative"])
+    def test_rate_that_is_not_a_positive_int_rejected(self, rate):
+        # a float rate must not get as far as resample's math.gcd
+        msg = f"sample_rate must be a positive integer, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            Waveform(np.zeros(16, dtype=np.float32), rate)
+
     def test_waveform_clips_before_the_float32_cast(self):
         w = Waveform(np.array([0.5, 1.5, 1e300, -1e300]), 16000)
         assert w.samples.dtype == np.float32
@@ -150,6 +160,12 @@ class TestResample:
         w = sine(440, 0.5, 16000)
         out = resample(w, 16000)
         np.testing.assert_array_equal(out.samples, w.samples)
+
+    @pytest.mark.parametrize("rate", [16000.0, 0], ids=["float", "zero"])
+    def test_target_rate_that_is_not_a_positive_int_rejected(self, rate):
+        msg = f"target_rate must be a positive integer, got {rate!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            resample(sine(440, 0.1, 44100), rate)
 
     def test_sine_peak_survives(self):
         w = resample(sine(1000, 5.0, 44100), 16000)

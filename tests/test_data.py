@@ -1,6 +1,6 @@
 """Dataset tests: metadata validation names every offending CSV line, the
-synthetic set's meta.csv is its only record, and it puts every class in
-every fold."""
+synthetic set's meta.csv is its only record, it puts every class in every
+fold, and each class's energy sits at the frequency its name states."""
 
 import csv
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from focalaudio import data
-from focalaudio.audio import FrontendConfig, Waveform, save_wav
+from focalaudio.audio import FrontendConfig, Waveform, load_wav, save_wav, stft
 
 HEADER = ["filename", "fold", "target", "category"]
 
@@ -107,3 +107,25 @@ class TestManifest:
         with pytest.raises(ValueError, match=r"clip short \(.*short\.wav\): clip of 160 samples "
                                              r"is shorter than one window \(368\)"):
             data.load_split(manifest, "val", FrontendConfig())
+
+
+class TestSyntheticGroundTruth:
+    """Each synthetic class puts its energy where its name says, at the
+    frontend's 16 kHz and N_FFT = 1024 (15.625 Hz per bin)."""
+
+    PEAK_BIN = {"tone_500hz": 32, "am_tone_1000hz": 64, "tone_2000hz": 128}
+
+    def test_energy_peaks_at_the_stated_bin(self, tmp_path):
+        manifest = data.generate_synthetic_dataset(tmp_path, clips_per_class=3, seconds=1.0,
+                                                   sample_rate=16000, seed=0)
+        for r in manifest.records:
+            log_mag = stft(load_wav(r.path)).log_mag.astype(np.float64)
+            energy = np.exp(2.0 * log_mag).mean(axis=1)
+            share = energy / energy.sum()
+            if r.label_name == "white_noise":
+                # flat: no bin holds more than 1 % of the energy (uniform is 1/513)
+                assert share.max() < 0.01, (r.clip_id, share.max())
+            else:
+                peak = int(np.argmax(share))
+                assert peak == self.PEAK_BIN[r.label_name], (r.clip_id, peak)
+                assert share[peak] > 0.1, (r.clip_id, share[peak])

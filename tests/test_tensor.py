@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from focalaudio import tensor as T
 from focalaudio.tensor import (
@@ -233,6 +234,102 @@ class TestGelu:
         x = randt(4, 3)
         errs = gradient_check(lambda: gelu(x).sum(), {"x": x})
         assert errs["x"] < 1e-5
+
+
+def _gelu_float64_oracle(x):
+    """(gelu, Phi) through scipy's float64 erf: the float64 path itself."""
+    x64 = np.asarray(x, dtype=np.float64)
+    cdf = 0.5 * (1.0 + erf(x64 * 0.7071067811865476))
+    return x64 * cdf, cdf
+
+
+class TestGeluFloat32:
+    """The float32 rational erf kernel against the float64 scipy path."""
+
+    BOUND = 3e-7
+    SEED = 18
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-30.0, 30.0, 600_001),
+        np.concatenate([np.geomspace(1e-30, 1e30, 4001), -np.geomspace(1e-30, 1e30, 4001)]),
+    ], ids=["grid_30", "geomspace_1e30"])
+    def test_accuracy(self, x):
+        x = x.astype(np.float32)
+        y, cdf = T._gelu_float32(x)
+        y_ref, cdf_ref = _gelu_float64_oracle(x)
+        assert np.abs(cdf - cdf_ref).max() <= self.BOUND
+        scale = np.maximum(1.0, np.abs(x.astype(np.float64)))
+        assert (np.abs(y - y_ref) / scale).max() <= self.BOUND
+
+    def test_float64_is_the_scipy_path_bit_for_bit(self):
+        x = np.random.default_rng(self.SEED).standard_normal((3, 5, 7)) * 4.0
+        np.testing.assert_array_equal(gelu(Tensor(x)).data, _gelu_float64_oracle(x)[0])
+
+    def test_cdf_in_unit_interval_and_sign_of_x(self):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 200_001),
+                            -np.geomspace(1e-30, 1e30, 2001)]).astype(np.float32)
+        y, cdf = T._gelu_float32(x)
+        assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+        assert np.all((y == 0) | (np.sign(y) == np.sign(x)))
+
+    def test_edge_inputs(self):
+        # -inf gives NaN as in float64 (-inf * 0), the far left tail exactly 0
+        x = np.array([0.0, np.inf, -np.inf, np.nan, -20.0, -1e30], dtype=np.float32)
+        with np.errstate(invalid="ignore"):
+            y, cdf = T._gelu_float32(x)
+            y_ref, cdf_ref = _gelu_float64_oracle(x)
+        np.testing.assert_array_equal(cdf, [0.5, 1.0, 0.0, np.nan, 0.0, 0.0])
+        np.testing.assert_array_equal(y, [0.0, np.inf, np.nan, np.nan, 0.0, 0.0])
+        np.testing.assert_array_equal(cdf, cdf_ref.astype(np.float32))
+        np.testing.assert_array_equal(np.isnan(y), np.isnan(y_ref))
+
+    def _layouts(self):
+        block = T._GELU_BLOCK
+        rng = np.random.default_rng(self.SEED)
+        base = rng.standard_normal((8, 32, 24, 24)).astype(np.float32) * 3.0  # 2.25 blocks
+        cbhw = np.ascontiguousarray(base.transpose(1, 0, 2, 3))
+        return {
+            "contiguous": base,
+            "dwconv2d_cbhw": cbhw.transpose(1, 0, 2, 3),
+            "sliced_view": base[:, 1::3, 2:, ::2],
+            "size_1": base[:1, :1, :1, :1],
+            "below_a_block": base.reshape(-1)[: block // 3],
+            "not_a_block_multiple": base.reshape(-1)[: 2 * block + 123],
+        }
+
+    def test_layouts_agree_bitwise_and_keep_memory_order(self):
+        layouts = self._layouts()
+        assert layouts["contiguous"].size > 2 * T._GELU_BLOCK + 123
+        for name, x in layouts.items():
+            y, cdf = T._gelu_float32(x)
+            y_c, cdf_c = T._gelu_float32(np.ascontiguousarray(x))
+            np.testing.assert_array_equal(y, y_c, err_msg=name)
+            np.testing.assert_array_equal(cdf, cdf_c, err_msg=name)
+            order = np.empty_like(x).strides
+            assert y.strides == order and cdf.strides == order, name
+            assert y.dtype == cdf.dtype == np.float32, name
+
+    def test_dwconv2d_output_keeps_its_channel_major_memory(self):
+        rng = np.random.default_rng(self.SEED)
+        x = Tensor(rng.standard_normal((2, 8, 6, 6)).astype(np.float32))
+        k = Tensor(rng.standard_normal((8, 3, 3)).astype(np.float32))
+        h = dwconv2d(x, k)
+        assert gelu(h).data.strides == h.data.strides
+
+    def test_gradient_matches_float64_and_records_one_node(self):
+        rng = np.random.default_rng(self.SEED)
+        x_np = np.concatenate([np.linspace(-8.0, 8.0, 4001), rng.standard_normal(999) * 3.0])
+        g_np = rng.standard_normal(x_np.size)
+        grads = {}
+        for dtype in (np.float32, np.float64):
+            x = Tensor(x_np.astype(dtype), requires_grad=True)
+            out = gelu(x)
+            assert out._op == "gelu" and out._parents == (x,)
+            backward((out * Tensor(g_np.astype(dtype))).sum())
+            grads[dtype] = x.grad
+        scale = np.maximum(1.0, np.abs(x_np)) * np.abs(g_np)
+        err = np.abs(grads[np.float32].astype(np.float64) - grads[np.float64]) / scale
+        assert err.max() <= self.BOUND
 
 
 class TestLayernorm:
