@@ -329,22 +329,23 @@ def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarra
     return spec, to_model_input(spec, out=cfg.input_size)
 
 
+AUGMENT_PROB = 0.75
 AUGMENT_MAX_REGIONS = 3
 AUGMENT_MAX_FRACTION = 0.15
 
 
-def augment(x: np.ndarray, probability: float, rng_seed) -> np.ndarray:
+def augment(x: np.ndarray, rng_seed) -> np.ndarray:
     """Zero out random frequency bands and/or time chunks of a model input;
     returns a new array, `x` is left as it is.
 
-    Deterministic given the seed. With probability `probability` one of
+    Deterministic given the seed. With probability `AUGMENT_PROB` (0.75) one of
     {frequency drop, time drop, both} is applied; each drop zeroes 1 to
     `AUGMENT_MAX_REGIONS` (3) contiguous regions, each at most
     `AUGMENT_MAX_FRACTION` (0.15) of the axis.
     """
     rng = np.random.default_rng(rng_seed)
     data = x.copy()
-    if rng.random() >= probability:
+    if rng.random() >= AUGMENT_PROB:
         return data
     n_freq, n_time = data.shape[-2], data.shape[-1]
     mode = int(rng.integers(3))  # 0: freq, 1: time, 2: both

@@ -53,7 +53,6 @@ class ClipSet:
 @dataclass
 class DatasetManifest:
     records: list
-    num_classes: int
 
     def split(self, name: str) -> list:
         if name not in SPLIT_FOLDS:
@@ -106,7 +105,7 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
         raise ValueError("manifest validation failed:\n  " + "\n  ".join(problems))
     if not records:
         raise ValueError(f"{meta_csv}: no clips found")
-    return DatasetManifest(records=records, num_classes=num_classes)
+    return DatasetManifest(records=records)
 
 
 def _synth_clip(label_name: str, rng: np.random.Generator, seconds: float,

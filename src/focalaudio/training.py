@@ -4,7 +4,7 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (3), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (4), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
@@ -13,11 +13,15 @@ step `optimizer_t`, and `arrays`, the index of the payload. It holds one
 {kind, name, dtype, shape, offset, nbytes} record per little-endian array
 (float64 stays "<f8", everything else is stored as "<f4"), written kind by
 kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
-kind. Version 3's `model_config` holds `stage_depths`, `stage_dims`,
-`num_classes` and `kernel_sizes`, and its `frontend` holds `input_size`
-alone. Older files are refused by their version: version 1's configs also
-held the architecture constants and the loss scale, and version 2's
-`frontend` also held the STFT geometry, now `audio`'s constants.
+kind. Version 4's `model_config` holds `stage_depths`, `stage_dims`,
+`num_classes` and `kernel_sizes`, its `frontend` holds `input_size` and its
+`train_config` holds `batch_size`, `epochs`, `lr_min`, `lr_max`, `step_size`
+and `seed`. Older files are refused by their version: version 1's configs
+also held the architecture constants and the loss scale, version 2's
+`frontend` the STFT geometry (now `audio`'s constants), and version 3's
+`train_config` the weight decay, clip norm, loss margin and augment
+probability (now `WEIGHT_DECAY`, `GRAD_CLIP_NORM`, `AM_MARGIN` and
+`audio.AUGMENT_PROB`).
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -66,38 +70,36 @@ class TrainingDiverged(RuntimeError):
         self.checkpoint = checkpoint
 
 
+WEIGHT_DECAY = 2e-6
+GRAD_CLIP_NORM = 5.0
+AM_MARGIN = 0.2
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization hyperparameters; the defaults are the full-scale preset
-    (batch 16, 100 epochs, lr 1e-8 to 2e-4 with step size 65000, weight decay
-    2e-6, clip 5, margin 0.2, augment probability 0.75). The loss's scale is
-    the model head's, `focalnet.LOGIT_SCALE`."""
+    """The optimization hyperparameters a run varies; the defaults are the
+    full-scale preset (batch 16, 100 epochs, lr 1e-8 to 2e-4 with step size
+    65000). The rest of the recipe is fixed: `WEIGHT_DECAY`, `GRAD_CLIP_NORM`,
+    `AM_MARGIN`, `audio.AUGMENT_PROB` and the loss scale `focalnet.LOGIT_SCALE`."""
 
     batch_size: int = 16
     epochs: int = 100
     lr_min: float = 1e-8
     lr_max: float = 2e-4
     step_size: int = 65000
-    weight_decay: float = 2e-6
-    grad_clip_norm: float = 5.0
-    am_margin: float = 0.2
-    augment_prob: float = 0.75
     seed: int = 0
 
     def __post_init__(self):
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
-        for name in ("lr_min", "weight_decay", "am_margin"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not self.grad_clip_norm > 0:
-            raise ValueError("grad_clip_norm must be positive")
+        if not self.lr_min >= 0:
+            raise ValueError("lr_min must be >= 0")
+        if not np.isfinite(self.lr_max):
+            raise ValueError(f"lr_max must be finite, got {self.lr_max!r}")
         for name, least in (("batch_size", 1), ("epochs", 1), ("step_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (type(value) is int and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not 0.0 <= self.augment_prob <= 1.0:
-            raise ValueError("augment_prob must be in [0, 1]")
 
     @classmethod
     def desk(cls, **overrides) -> "TrainConfig":
@@ -116,9 +118,10 @@ def am_softmax_loss(features: Tensor, class_weights: Tensor, labels, margin: flo
     """Cross-entropy over scale * (cosine - margin at the true class).
 
     The cosine is `focalnet.cosine`, the model head's own, and `fit` passes
-    the head's scale, `focalnet.LOGIT_SCALE`. A missing, fractional or
-    out-of-range label is a `ValueError` and a zero-norm feature row a
-    numerical error, each naming the clip id when given, else the batch row.
+    `AM_MARGIN` and the head's scale, `focalnet.LOGIT_SCALE`. A missing,
+    fractional or out-of-range label is a `ValueError` and a zero-norm
+    feature row a numerical error, each naming the clip id when given, else
+    the batch row.
     """
     if margin < 0 or scale <= 0:
         raise ValueError("margin must be >= 0 and scale > 0")
@@ -176,10 +179,9 @@ class AdamState:
     t: int = 0
 
 
-def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: float = 0.0,
-                   clip_norm: float | None = None) -> float:
-    """Global-norm clipping, then Adam (betas 0.9 and 0.999, eps 1e-8) with
-    decoupled weight decay.
+def optimizer_step(params: dict, state: AdamState, lr: float) -> float:
+    """Global-norm clipping at `GRAD_CLIP_NORM`, then Adam (betas 0.9 and
+    0.999, eps 1e-8) with decoupled weight decay `WEIGHT_DECAY`.
 
     Returns the pre-clip global gradient norm. Missing gradients count as
     zero; a non-finite gradient aborts naming the parameter path.
@@ -193,8 +195,8 @@ def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: floa
         grads[name] = g
         sq += float((g.astype(np.float64) ** 2).sum())
     gnorm = float(np.sqrt(sq))
-    if clip_norm is not None and gnorm > clip_norm:
-        factor = clip_norm / gnorm
+    if gnorm > GRAD_CLIP_NORM:
+        factor = GRAD_CLIP_NORM / gnorm
         grads = {k: g * g.dtype.type(factor) for k, g in grads.items()}
     state.t += 1
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -209,9 +211,7 @@ def optimizer_step(params: dict, state: AdamState, lr: float, weight_decay: floa
         state.v[name] = b2 * state.v[name] + (1 - b2) * (g * g)
         mhat = state.m[name] / bc1
         vhat = state.v[name] / bc2
-        update = mhat / (np.sqrt(vhat) + eps)
-        if weight_decay:
-            update = update + weight_decay * p.data
+        update = mhat / (np.sqrt(vhat) + eps) + WEIGHT_DECAY * p.data
         p.data = p.data - p.data.dtype.type(lr) * update
     return gnorm
 
@@ -288,20 +288,24 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         frontend: FrontendConfig, run_dir=None,
         start_epoch: int = 0, optimizer_state: AdamState | None = None) -> FitResult:
     """Epoch loop with augmentation (training only), per-epoch validation
-    accuracy and best-on-validation checkpointing. Deterministic given the
-    config seed. `frontend` is the config that made the inputs; every
-    checkpoint records it. A resume from `start_epoch` with the earlier run's
-    `optimizer_state` (updated in place) keeps its loss curve and Adam state
-    bitwise but loses its `history` and best-on-validation choice: `history`
-    starts at `start_epoch` and `best` is chosen among the resumed epochs.
-    The loss is `am_softmax_loss` at the head's scale, `focalnet.LOGIT_SCALE`,
-    the one `predict_proba`, FID-I and FA score at.
+    accuracy and best-on-validation checkpointing; an empty `train` or `val`
+    set is a `ValueError` naming it. Deterministic given the config seed.
+    `frontend` is the config that made the inputs; every checkpoint records
+    it. A resume from `start_epoch` with the earlier run's `optimizer_state`
+    (updated in place) keeps its loss curve and Adam state bitwise but loses
+    its `history` and best-on-validation choice: `history` starts at
+    `start_epoch` and `best` is chosen among the resumed epochs. The loss is
+    `am_softmax_loss` at margin `AM_MARGIN` and the head's scale,
+    `focalnet.LOGIT_SCALE`, the one `predict_proba`, FID-I and FA score at.
 
     Each step logs `step` (Adam's `t` before it), `lr`, `loss` and
     `grad_norm`, which are deterministic, plus `step_s` (wall time of
     forward, backward and optimizer step, augmentation excluded) and
     `clips_per_s` (batch clips over `step_s`), which are not.
     """
+    for name, clips in (("train", train), ("val", val)):
+        if len(clips) == 0:
+            raise ValueError(f"the {name} set is empty")
     params = dict(model.named_parameters())
     state = optimizer_state or AdamState()
     history: list = []
@@ -317,20 +321,17 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         for epoch in range(start_epoch, config.epochs):
             order = np.random.default_rng([config.seed, epoch]).permutation(len(train))
             losses = []
-            lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
             for lo in range(0, len(order), config.batch_size):
                 idx = order[lo : lo + config.batch_size]
                 xb = np.stack([
-                    augment(train.inputs[i], config.augment_prob,
-                            _clip_seed(config.seed, epoch, train.clip_ids[i]))
+                    augment(train.inputs[i], _clip_seed(config.seed, epoch, train.clip_ids[i]))
                     for i in idx
                 ])
                 yb = train.labels[idx]
                 t0 = time.perf_counter()
                 model.zero_grad()
                 feats, _ = model.forward_features(xb)
-                loss = am_softmax_loss(feats, model.head.weight, yb,
-                                       config.am_margin, LOGIT_SCALE,
+                loss = am_softmax_loss(feats, model.head.weight, yb, AM_MARGIN, LOGIT_SCALE,
                                        clip_ids=[train.clip_ids[i] for i in idx])
                 loss_val = float(loss.data)
                 if not np.isfinite(loss_val):
@@ -340,9 +341,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                     )
                 backward(loss)
                 lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
-                gnorm = optimizer_step(params, state, lr,
-                                       weight_decay=config.weight_decay,
-                                       clip_norm=config.grad_clip_norm)
+                gnorm = optimizer_step(params, state, lr)
                 step_s = time.perf_counter() - t0
                 losses.append(loss_val)
                 line = {"step": state.t - 1, "lr": lr, "loss": loss_val, "grad_norm": gnorm,
@@ -353,7 +352,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
             val_acc = evaluate_accuracy(model, val, batch_size=config.batch_size)
             history.append({
                 "epoch": epoch,
-                "train_loss": float(np.mean(losses)) if losses else float("nan"),
+                "train_loss": float(np.mean(losses)),
                 "val_acc": val_acc,
                 "lr": lr,
             })
@@ -374,7 +373,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 3
+_CKPT_VERSION = 4
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from focalaudio.audio import (
+    AUGMENT_PROB,
     HOP_LENGTH,
     LOG_EPS,
     N_FFT,
@@ -355,16 +356,17 @@ class TestModelInput:
 
 
 class TestAugment:
-    def test_probability_zero_is_identity(self):
+    def test_undrawn_seed_is_an_unchanged_copy(self):
         x = to_model_input(stft(sine(500, 5.0, 16000)), out=64)
-        y = augment(x, 0.0, rng_seed=3)
+        assert np.random.default_rng(4).random() >= AUGMENT_PROB  # seed 4 draws no drop
+        y = augment(x, rng_seed=4)
         assert y is not x
         np.testing.assert_array_equal(x, y)
 
     def test_deterministic_given_seed(self):
         x = to_model_input(stft(sine(500, 5.0, 16000)), out=64)
-        a = augment(x, 0.75, rng_seed=42)
-        b = augment(x, 0.75, rng_seed=42)
+        a = augment(x, rng_seed=42)
+        b = augment(x, rng_seed=42)
         np.testing.assert_array_equal(a, b)
 
     def test_drops_are_zero_and_complement_unchanged(self):
@@ -373,7 +375,7 @@ class TestAugment:
         kept = x.copy()
         found = False
         for seed in range(30):
-            y = augment(x, 1.0, rng_seed=seed)
+            y = augment(x, rng_seed=seed)
             dropped = y == 0.0
             if dropped.any():
                 found = True

@@ -1,13 +1,15 @@
-"""Training-loop tests: the step log, the gradient-sharing contract of the
-tape (first gradients are stored without a copy, so `.grad` arrays are
-read-only and may be views of one another, but never of parameter data), and
-the checkpoint container, plus the optimizer against Adam written out by
-hand, the learning-rate schedule and validation accuracy."""
+"""Training-loop tests: the step log, the refusal of empty sets, a resume
+through a checkpoint, the gradient-sharing contract of the tape (first
+gradients are stored without a copy, so `.grad` arrays are read-only and may
+be views of one another, but never of parameter data), and the checkpoint
+container, plus the optimizer against Adam written out by hand, the
+learning-rate schedule and validation accuracy."""
 
 import hashlib
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,6 +69,42 @@ class TestFitLog:
             assert line["lr"] == lr
             assert math.isclose(line["loss"], loss, rel_tol=1e-6)
             assert math.isclose(line["grad_norm"], gnorm, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_set_rejected_before_the_first_step(self, empty):
+        sets = dict(zip(("train", "val"), tiny_fit_data()))
+        sets[empty] = training.ClipSet(np.zeros((0, 3, 32, 32), np.float32), np.zeros(0, np.int64), [])
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+        initial = {k: p.data.copy() for k, p in net.named_parameters()}
+        config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match=f"the {empty} set is empty"):
+            training.fit(net, **sets, config=config, frontend=FrontendConfig(input_size=32))
+        for name, p in net.named_parameters():
+            np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
+
+
+class TestResume:
+    def test_resume_through_a_checkpoint_matches_the_one_shot_run(self, tmp_path):
+        train, val = tiny_fit_data()
+        frontend = FrontendConfig(input_size=32)
+        config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
+
+        def fresh():
+            return FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+
+        def steady(lines):
+            return [{k: v for k, v in line.items() if k not in ("step_s", "clips_per_s")}
+                    for line in lines]
+
+        one_shot = training.fit(fresh(), train, val, config, frontend)
+        first = training.fit(fresh(), train, val, replace(config, epochs=1), frontend)
+        training.save_checkpoint(first.last, tmp_path / "epoch0.ckpt")
+        ckpt = training.load_checkpoint(tmp_path / "epoch0.ckpt")
+        resumed = training.fit(ckpt.build_model(), train, val, config, frontend,
+                               start_epoch=1, optimizer_state=ckpt.optimizer)
+        assert len(first.log_lines) == len(resumed.log_lines) == 2
+        assert steady(first.log_lines + resumed.log_lines) == steady(one_shot.log_lines)
+        assert resumed.last.model_id() == one_shot.last.model_id()
 
 
 class TestAmSoftmaxLoss:
@@ -191,8 +229,8 @@ class TestGradientSharing:
 
 
 # SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
-# is of the version-3 file, the model_id of the parameters alone
-PINNED_CKPT_SHA256 = "9f7a670f2a0adb99ff56e5ab3069c8dd1230c8ddd78d2f764fe4b7ea089ae053"
+# is of the version-4 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "fb2442ba0b2c58ef38f3bc789da13b9d2699992b0d08319cce233ad282730596"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -298,7 +336,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 2) + b[12:]), "unsupported version 2, expected 3"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 3) + b[12:]), "unsupported version 3, expected 4"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
@@ -308,12 +346,10 @@ class TestCheckpoint:
         (train_field(lr_min=1.0), "malformed header: ValueError.*lr_min"),
         # a field the version-2 header had is refused, not ignored
         (header_field("frontend", win_ms=100.0), "malformed header: TypeError.*win_ms"),
-        # a negative clip norm turns every clipped step uphill, a zero one freezes training
-        (train_field(grad_clip_norm=-5.0), "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (train_field(grad_clip_norm=0.0), "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (train_field(grad_clip_norm=float("nan")),
-         "malformed header: ValueError.*grad_clip_norm must be positive"),
-        (train_field(weight_decay=-2e-6), "malformed header: ValueError.*weight_decay must be >= 0"),
+        # a field the version-3 header had is refused, not ignored
+        (train_field(grad_clip_norm=5.0), "malformed header: TypeError.*grad_clip_norm"),
+        # JSON's Infinity loads, and the first resumed step makes every parameter non-finite
+        (train_field(lr_max=float("inf")), "malformed header: ValueError.*lr_max must be finite, got inf"),
         (train_field(lr_min=-1e-5), "malformed header: ValueError.*lr_min must be >= 0"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
         # model and train configs that would build, then fail or mislead at the first use
@@ -363,9 +399,8 @@ class TestCheckpoint:
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
-            "header_with_invalid_frontend", "header_with_negative_clip_norm",
-            "header_with_zero_clip_norm", "header_with_nan_clip_norm",
-            "header_with_negative_weight_decay", "header_with_negative_lr_min",
+            "header_with_invalid_frontend", "header_with_grad_clip_norm",
+            "header_with_infinite_lr_max", "header_with_negative_lr_min",
             "header_not_an_object", "header_with_zero_stage_dim", "header_with_no_stages",
             "header_with_no_kernels", "header_with_negative_kernel", "header_with_bool_kernel",
             "header_with_fractional_stage_depth", "header_with_fractional_stage_dim",
@@ -437,8 +472,8 @@ class TestOptimizerStep:
     def test_two_steps_match_adam_by_hand(self):
         rng = np.random.default_rng(11)
         values = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)}
-        # step 1 is clipped (norm ~ 4.5 > 2); step 2 is not and has no grad for "b"
-        steps = [{"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(5)},
+        # step 1 is clipped (norm ~ 7.5 > 5); step 2 is not and has no grad for "b"
+        steps = [{"a": 2.0 * rng.standard_normal((3, 4)), "b": 2.0 * rng.standard_normal(5)},
                  {"a": 0.1 * rng.standard_normal((3, 4))}]
         lrs = [1e-2, 3e-2]
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in values.items()}
@@ -447,10 +482,10 @@ class TestOptimizerStep:
         for grads, lr in zip(steps, lrs):
             for k, p in params.items():
                 p.grad = grads.get(k)
-            norms.append(training.optimizer_step(params, state, lr, weight_decay=0.05,
-                                                 clip_norm=2.0))
-        want, m, v, want_norms = adam_by_hand(values, steps, lrs, 0.05, 2.0)
-        assert want_norms[0] > 2.0 > want_norms[1]
+            norms.append(training.optimizer_step(params, state, lr))
+        want, m, v, want_norms = adam_by_hand(values, steps, lrs, training.WEIGHT_DECAY,
+                                              training.GRAD_CLIP_NORM)
+        assert want_norms[0] > training.GRAD_CLIP_NORM > want_norms[1]
         np.testing.assert_allclose(norms, want_norms, rtol=1e-12)
         assert state.t == 2
         for k in values:
