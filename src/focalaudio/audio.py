@@ -2,7 +2,7 @@
 
 The frontend turns a clip into the image-like input the classifier consumes:
 
-    waveform -> resample to 16 kHz -> centered STFT -> log magnitude
+    waveform -> resample to SAMPLE_RATE -> centered STFT -> log magnitude
              -> bilinear shrink to NxN -> standardize -> 3 stacked replicas
 
 and back again: a (possibly masked) log magnitude plus the retained phase is
@@ -24,6 +24,9 @@ no frame saw it.
 Bilinear resizing (the input shrink here, the mask upsampling in
 `interpret`) uses align-corners sampling: output corner pixels map onto
 input corner pixels, and a singleton output axis samples coordinate 0.
+
+`resample` always targets `SAMPLE_RATE`. `load_wav` reads PCM16 and float32
+files, since it reads input made elsewhere; `save_wav` writes float32 only.
 
 Everything here works on plain numpy arrays: a model input is an
 ``np.ndarray`` [3, S, S], and only the model wraps it for the autograd tape.
@@ -176,19 +179,13 @@ def load_wav(path) -> Waveform:
     return Waveform(samples=raw, sample_rate=rate)
 
 
-def save_wav(w: Waveform, path, pcm16: bool = False) -> None:
-    """Write a mono WAV; float32 by default (lossless round trip)."""
-    if pcm16:
-        payload = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2").tobytes()
-        audio_format, bits = 1, 16
-    else:
-        payload = w.samples.astype("<f4").tobytes()
-        audio_format, bits = 3, 32
-    byte_rate = w.sample_rate * bits // 8
+def save_wav(w: Waveform, path) -> None:
+    """Write a mono float32 WAV (a lossless round trip through `load_wav`)."""
+    payload = w.samples.astype("<f4").tobytes()
     hdr = struct.pack(
         "<4sI4s4sIHHIIHH4sI",
         b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, audio_format, 1, w.sample_rate, byte_rate, bits // 8, bits,
+        b"fmt ", 16, 3, 1, w.sample_rate, w.sample_rate * 4, 4, 32,
         b"data", len(payload),
     )
     with open(path, "wb") as f:
@@ -200,20 +197,18 @@ def save_wav(w: Waveform, path, pcm16: bool = False) -> None:
 # resampling
 # ---------------------------------------------------------------------------
 
-def resample(w: Waveform, target_rate: int) -> Waveform:
-    """Polyphase resampling; output length is round(len * target / source)."""
-    if not (type(target_rate) is int and target_rate > 0):
-        raise ValueError(f"target_rate must be a positive integer, got {target_rate!r}")
-    if target_rate == w.sample_rate:
-        return Waveform(w.samples.copy(), w.sample_rate)
-    g = math.gcd(target_rate, w.sample_rate)
-    out = resample_poly(w.samples.astype(np.float64), target_rate // g, w.sample_rate // g)
-    want = round(w.samples.size * target_rate / w.sample_rate)
+def resample(w: Waveform) -> Waveform:
+    """Polyphase resampling to `SAMPLE_RATE`; output length is
+    round(len * SAMPLE_RATE / source rate). A clip already at `SAMPLE_RATE`
+    comes back as an equal copy."""
+    g = math.gcd(SAMPLE_RATE, w.sample_rate)
+    out = resample_poly(w.samples.astype(np.float64), SAMPLE_RATE // g, w.sample_rate // g)
+    want = round(w.samples.size * SAMPLE_RATE / w.sample_rate)
     if out.size > want:
         out = out[:want]
     elif out.size < want:
         out = np.pad(out, (0, want - out.size))
-    return Waveform(out, target_rate)
+    return Waveform(out, SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +319,7 @@ def to_model_input(s: Spectrogram, out: int) -> np.ndarray:
 def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarray]:
     """Full clip-to-input path: resample, STFT, pack."""
     if w.sample_rate != SAMPLE_RATE:
-        w = resample(w, SAMPLE_RATE)
+        w = resample(w)
     spec = stft(w)
     return spec, to_model_input(spec, out=cfg.input_size)
 

@@ -4,7 +4,8 @@ A focal modulation layer replaces token-to-token attention with three steps:
 
 1. hierarchical contextualization: a channel projection followed by a cascade
    of depth-wise convolutions (one per focal level, GeLU between), plus a
-   globally pooled context broadcast back over space,
+   globally pooled context broadcast back over space. Every block has the
+   paper's two focal levels, with kernels `KERNEL_SIZES` (3, then 5),
 2. gated aggregation: per-location, per-level scalar gates (one extra gate
    for the pooled level) blend the context maps, and a channel projection of
    the blend yields the modulator,
@@ -35,24 +36,22 @@ from .tensor import Module, Tensor, check_finite
 PATCH_SIZE = 4  # the stem's patch edge
 MLP_RATIO = 4  # MLP hidden units per channel
 LOGIT_SCALE = 30.0  # cosine-head scale, for scoring and for the training loss
+KERNEL_SIZES = (3, 5)  # depth-wise kernel per focal level, in every block
 
 
 @dataclass(frozen=True)
 class FocalNetConfig:
-    """Architecture hyperparameters: blocks and channels per stage, the class
-    count, and the per-level kernel list, which every block of every stage
-    uses; its length is the number of focal levels. Patch size, MLP ratio
-    and logit scale are the constants above, and the norm epsilon is
-    `tensor.layernorm`'s default.
+    """Architecture hyperparameters: blocks and channels per stage and the
+    class count. Patch size, MLP ratio, logit scale and the focal kernels
+    are the constants above, and the norm epsilon is `tensor.layernorm`'s.
     """
 
     stage_depths: tuple
     stage_dims: tuple
     num_classes: int
-    kernel_sizes: tuple = (3, 5)
 
     def __post_init__(self):
-        for name in ("stage_depths", "stage_dims", "kernel_sizes"):
+        for name in ("stage_depths", "stage_dims"):
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) and values
                     and all(type(v) is int and v >= 1 for v in values)):
@@ -60,22 +59,20 @@ class FocalNetConfig:
             object.__setattr__(self, name, tuple(values))
         if len(self.stage_dims) != len(self.stage_depths):
             raise ValueError("stage_dims and stage_depths must have equal length")
-        if any(k % 2 == 0 for k in self.kernel_sizes):
-            raise ValueError(f"kernel_sizes must be odd, got {self.kernel_sizes}")
         if not (type(self.num_classes) is int and self.num_classes >= 2):
             raise ValueError(f"num_classes must be an integer >= 2, got {self.num_classes}")
 
     @property
     def focal_levels(self) -> tuple:
-        """Focal levels per stage, `len(kernel_sizes)` in each. Derived, not a
+        """Focal levels per stage, `len(KERNEL_SIZES)` in each. Derived, not a
         field; the benchmark's op-count test (`perfbench/test_perfbench.py`)
         reads it."""
-        return (len(self.kernel_sizes),) * len(self.stage_depths)
+        return (len(KERNEL_SIZES),) * len(self.stage_depths)
 
     @classmethod
     def default(cls, num_classes: int = 50) -> "FocalNetConfig":
         """Base variant: 4 stages of (2, 2, 18, 2) blocks and (128, 256, 512,
-        1024) channels, 2 focal levels with kernels (3, 5)."""
+        1024) channels."""
         return cls(stage_depths=(2, 2, 18, 2), stage_dims=(128, 256, 512, 1024),
                    num_classes=num_classes)
 
@@ -118,12 +115,12 @@ class ChannelNorm(Module):
 class FocalLayer(Module):
     """Focal modulation over one feature map."""
 
-    def __init__(self, dim: int, kernel_sizes, rng, dtype):
+    def __init__(self, dim: int, rng, dtype):
         self.query = Dense(dim, dim, rng, dtype)
         self.context_proj = Dense(dim, dim, rng, dtype)
-        self.gate_proj = Dense(dim, len(kernel_sizes) + 1, rng, dtype)
+        self.gate_proj = Dense(dim, len(KERNEL_SIZES) + 1, rng, dtype)
         self.out_proj = Dense(dim, dim, rng, dtype)
-        self.kernels = [T.trunc_normal((dim, k, k), rng, dtype=dtype) for k in kernel_sizes]
+        self.kernels = [T.trunc_normal((dim, k, k), rng, dtype=dtype) for k in KERNEL_SIZES]
 
     def hierarchical_contextualize(self, x: Tensor) -> list:
         """Context maps, coarse to global: L convolved levels plus the pooled
@@ -170,9 +167,9 @@ class Mlp(Module):
 class FocalBlock(Module):
     """Pre-norm residual block: modulation branch then MLP branch."""
 
-    def __init__(self, dim: int, kernel_sizes, rng, dtype):
+    def __init__(self, dim: int, rng, dtype):
         self.norm1 = ChannelNorm(dim, dtype)
-        self.focal = FocalLayer(dim, kernel_sizes, rng, dtype)
+        self.focal = FocalLayer(dim, rng, dtype)
         self.norm2 = ChannelNorm(dim, dtype)
         self.mlp = Mlp(dim, dim * MLP_RATIO, rng, dtype)
 
@@ -212,8 +209,8 @@ class PatchEmbed(Module):
 class Stage(Module):
     """Blocks of one resolution (the `stages.i.blocks.j` parameter paths)."""
 
-    def __init__(self, dim: int, depth: int, kernel_sizes, rng, dtype):
-        self.blocks = [FocalBlock(dim, kernel_sizes, rng, dtype) for _ in range(depth)]
+    def __init__(self, dim: int, depth: int, rng, dtype):
+        self.blocks = [FocalBlock(dim, rng, dtype) for _ in range(depth)]
 
 
 class FocalNet(Module):
@@ -235,7 +232,7 @@ class FocalNet(Module):
         self.stages = []
         self.downsamples = []
         for i, depth in enumerate(config.stage_depths):
-            self.stages.append(Stage(dims[i], depth, config.kernel_sizes, rng, dtype))
+            self.stages.append(Stage(dims[i], depth, rng, dtype))
             if i + 1 < len(dims):
                 self.downsamples.append(PatchEmbed(dims[i], dims[i + 1], 2, rng, dtype))
         self.final_norm = ChannelNorm(dims[-1], dtype)

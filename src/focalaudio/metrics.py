@@ -127,9 +127,9 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
             for c, cid in enumerate(clip_ids) for i, q in enumerate(qs)]
 
 
-def quantile_sweep(model, clips, q_list, input_size: int, clip_ids=None) -> SweepResult:
+def quantile_sweep(model, clips, q_list, input_size: int) -> SweepResult:
     """FID-I and FA across quantile orders: per-q means of `evaluate`'s records."""
-    records = evaluate(model, clips, q_list, input_size, clip_ids=clip_ids)
+    records = evaluate(model, clips, q_list, input_size)
     fid = np.array([r.agrees for r in records], dtype=np.float64).reshape(len(clips), -1).mean(0)
     fa = np.array([r.fa for r in records]).reshape(len(clips), -1).mean(0)
     entries = [(r.q, float(f), float(d)) for r, f, d in zip(records[:fid.size], fid, fa)]

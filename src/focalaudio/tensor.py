@@ -26,6 +26,8 @@ Conventions fixed here:
   gradient is the same routine on the incoming gradient with the flipped
   kernel, and the kernel gradient is reduced one contiguous tap slice at a
   time,
+* layer normalization adds `_LN_EPS` (1e-5) to the variance, in the
+  input's dtype,
 * parameters are initialized from a normal distribution with standard
   deviation 0.02, truncated at two standard deviations.
 """
@@ -43,6 +45,7 @@ DEFAULT_DTYPE = np.float32
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 _INIT_STD = 0.02
+_LN_EPS = 1e-5
 
 # Single-precision rational erf of Eigen and XLA, highest power first:
 # erf(t) = t P(t^2) / Q(t^2) on t clamped to [-4, 4], beyond which erf is
@@ -531,14 +534,12 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     return _attach(out, (x, k), "dwconv2d", bw)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: int = -1) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
     """Zero mean / unit variance over one axis, then affine with gamma/beta.
 
     gamma and beta are 1-d of length x.shape[axis].
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    if eps <= 0:
-        raise ValueError("layernorm: eps must be positive")
     ax = axis % x.ndim
     n = x.shape[ax]
     if gamma.shape != (n,) or beta.shape != (n,):
@@ -548,7 +549,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5, axis: i
     mu = x.data.mean(axis=ax, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=ax, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    inv = 1.0 / np.sqrt(var + x.dtype.type(_LN_EPS))
     xhat = xc * inv
     out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
     reduce_axes = tuple(i for i in range(x.ndim) if i != ax)

@@ -4,7 +4,7 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (4), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (5), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
@@ -13,15 +13,16 @@ step `optimizer_t`, and `arrays`, the index of the payload. It holds one
 {kind, name, dtype, shape, offset, nbytes} record per little-endian array
 (float64 stays "<f8", everything else is stored as "<f4"), written kind by
 kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
-kind. Version 4's `model_config` holds `stage_depths`, `stage_dims`,
-`num_classes` and `kernel_sizes`, its `frontend` holds `input_size` and its
-`train_config` holds `batch_size`, `epochs`, `lr_min`, `lr_max`, `step_size`
-and `seed`. Older files are refused by their version: version 1's configs
-also held the architecture constants and the loss scale, version 2's
-`frontend` the STFT geometry (now `audio`'s constants), and version 3's
-`train_config` the weight decay, clip norm, loss margin and augment
-probability (now `WEIGHT_DECAY`, `GRAD_CLIP_NORM`, `AM_MARGIN` and
-`audio.AUGMENT_PROB`).
+kind; `adam_m` and `adam_v` name the same parameters. Version 5's
+`model_config` holds `stage_depths`, `stage_dims` and `num_classes`, its
+`frontend` holds `input_size` and its `train_config` holds `batch_size`,
+`epochs`, `lr_min`, `lr_max`, `step_size` and `seed`. Older files are
+refused by their version: version 1's configs also held the architecture
+constants and the loss scale, version 2's `frontend` the STFT geometry (now
+`audio`'s constants), version 3's `train_config` the weight decay, clip
+norm, loss margin and augment probability (now `WEIGHT_DECAY`,
+`GRAD_CLIP_NORM`, `AM_MARGIN` and `audio.AUGMENT_PROB`), and version 4's
+`model_config` the focal kernel list (now `focalnet.KERNEL_SIZES`).
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import struct
 import time
 import zlib
@@ -90,6 +92,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr_min", "lr_max"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not self.lr_min < self.lr_max:
             raise ValueError("lr_min must be below lr_max")
         if not self.lr_min >= 0:
@@ -373,7 +379,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 4
+_CKPT_VERSION = 5
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -413,10 +419,11 @@ def load_checkpoint(path) -> Checkpoint:
     the header is parsed or anything is built (a file shorter than the magic
     is reported as truncated). The header's `optimizer_t` must be an integer
     >= 0, and its array index must describe the layout the writer makes:
-    each (kind, name) once and of a kind the writer writes, each record at
-    the running offset from 0 with size x itemsize bytes, the records
-    covering the payload exactly. Then every Adam moment must belong to a
-    stored parameter of its shape. Any failure raises `CheckpointError`."""
+    each (kind, name) once, of a kind and a dtype the writer writes, each
+    record at the running offset from 0 with size x itemsize bytes, the
+    records covering the payload exactly. Then every Adam moment must belong
+    to a stored parameter of its shape, and `adam_m` and `adam_v` must name
+    the same parameters. Any failure raises `CheckpointError`."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
     magic_len = len(_CKPT_MAGIC)
@@ -447,6 +454,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"{what} is of no known kind")
             if a["name"] in arrays.get(a["kind"], {}):
                 raise ValueError(f"{what} is listed twice")
+            if a["dtype"] not in ("<f4", "<f8"):
+                raise ValueError(f"{what} has dtype {a['dtype']!r}, not <f4 or <f8")
             shape = a["shape"]
             if not all(type(d) is int and d >= 0 for d in shape):
                 raise ValueError(f"{what} has shape {shape}")
@@ -477,4 +486,7 @@ def load_checkpoint(path) -> Checkpoint:
             if moment.shape != ckpt.params[name].shape:
                 raise CheckpointError(f"{path}: {kind} {name} has shape {moment.shape}, "
                                       f"its parameter {ckpt.params[name].shape}")
+    unpaired = ckpt.optimizer.m.keys() ^ ckpt.optimizer.v.keys()
+    if unpaired:
+        raise CheckpointError(f"{path}: adam_m and adam_v differ in {sorted(unpaired)}")
     return ckpt

@@ -37,6 +37,19 @@ def sine(freq, seconds, rate, amp=0.5, phase=0.0):
     return Waveform((amp * np.sin(2 * np.pi * freq * t + phase)).astype(np.float32), rate)
 
 
+def write_pcm16(path, samples: np.ndarray, channels: int, rate: int):
+    """A PCM16 WAV of interleaved `samples` in [-1, 1), built by hand:
+    `save_wav` writes float32 only."""
+    payload = np.round(samples * 32768.0).astype("<i2").tobytes()
+    hdr = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 1, channels, rate, rate * 2 * channels, 2 * channels, 16,
+        b"data", len(payload),
+    )
+    path.write_bytes(hdr + payload)
+
+
 def snr_db(ref, est):
     noise = ref - est
     return 10 * np.log10(np.sum(ref**2) / max(np.sum(noise**2), 1e-30))
@@ -54,25 +67,17 @@ class TestWavIO:
     def test_pcm16_round_trip_close(self, tmp_path):
         w = Waveform(RNG.uniform(-0.9, 0.9, 1000).astype(np.float32), 8000)
         p = tmp_path / "x.wav"
-        save_wav(w, p, pcm16=True)
+        write_pcm16(p, w.samples, channels=1, rate=8000)
         back = load_wav(p)
         np.testing.assert_allclose(back.samples, w.samples, atol=1.0 / 32000)
 
     def test_stereo_downmix(self, tmp_path):
-        # hand-build a 2-channel PCM16 file
         left = np.array([0.5, -0.5, 0.25], dtype=np.float32)
         right = np.array([0.1, 0.3, -0.25], dtype=np.float32)
         inter = np.empty(6, dtype=np.float32)
         inter[0::2], inter[1::2] = left, right
-        payload = (inter * 32767).astype("<i2").tobytes()
-        hdr = struct.pack(
-            "<4sI4s4sIHHIIHH4sI",
-            b"RIFF", 36 + len(payload), b"WAVE",
-            b"fmt ", 16, 1, 2, 16000, 16000 * 4, 4, 16,
-            b"data", len(payload),
-        )
         p = tmp_path / "st.wav"
-        p.write_bytes(hdr + payload)
+        write_pcm16(p, inter, channels=2, rate=16000)
         w = load_wav(p)
         np.testing.assert_allclose(w.samples, (left + right) / 2, atol=1e-3)
 
@@ -153,23 +158,17 @@ class TestResample:
     def test_length_contract_44k_to_16k(self):
         w = sine(440, 5.0, 44100)
         assert w.samples.size == 220500
-        out = resample(w, 16000)
+        out = resample(w)
         assert out.samples.size == 80000
         assert out.sample_rate == 16000
 
     def test_identity_when_equal(self):
         w = sine(440, 0.5, 16000)
-        out = resample(w, 16000)
+        out = resample(w)
         np.testing.assert_array_equal(out.samples, w.samples)
 
-    @pytest.mark.parametrize("rate", [16000.0, 0], ids=["float", "zero"])
-    def test_target_rate_that_is_not_a_positive_int_rejected(self, rate):
-        msg = f"target_rate must be a positive integer, got {rate!r}"
-        with pytest.raises(ValueError, match=re.escape(msg)):
-            resample(sine(440, 0.1, 44100), rate)
-
     def test_sine_peak_survives(self):
-        w = resample(sine(1000, 5.0, 44100), 16000)
+        w = resample(sine(1000, 5.0, 44100))
         s = stft(w)
         peak_bin = int(np.argmax(s.log_mag.mean(axis=1)))
         expect = round(1000 * 1024 / 16000)
@@ -268,7 +267,7 @@ class TestIstft:
         w = sine(440, 2.0, 44100)
         spec, _ = preprocess(w, FrontendConfig(input_size=96))
         back = istft_reconstruct(spec)
-        ref = resample(w, 16000)
+        ref = resample(w)
         assert back.sample_rate == 16000
         assert back.samples.size == ref.samples.size == round(w.samples.size * 16000 / 44100)
         assert snr_db(ref.samples.astype(np.float64), back.samples.astype(np.float64)) >= 30.0

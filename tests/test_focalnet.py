@@ -28,8 +28,8 @@ from gradcheck import gradient_check
 RNG = np.random.default_rng(5)
 
 
-def make_layer(dim=4, kernels=(3, 5), dtype=np.float64, seed=0):
-    return FocalLayer(dim, kernels, np.random.default_rng(seed), dtype)
+def make_layer(dim=4, dtype=np.float64, seed=0):
+    return FocalLayer(dim, np.random.default_rng(seed), dtype)
 
 
 def set_identity(dense: Dense):
@@ -59,7 +59,7 @@ def scalar_reference_modulator(layer: FocalLayer, x: np.ndarray) -> np.ndarray:
 
 class TestHierarchicalContextualize:
     def test_level_count(self):
-        layer = make_layer(kernels=(3, 5))
+        layer = make_layer()
         ctx = layer.hierarchical_contextualize(Tensor(RNG.standard_normal((1, 4, 6, 6))))
         assert len(ctx) == 3
 
@@ -139,7 +139,7 @@ class TestFocalModulation:
             assert y.shape == shape
 
     def test_gradient_32bit(self):
-        layer = FocalLayer(3, (3, 3), np.random.default_rng(0), np.float32)
+        layer = make_layer(dim=3, dtype=np.float32)
         x = Tensor(RNG.standard_normal((1, 3, 5, 5)).astype(np.float32), requires_grad=True)
         params = dict(layer.named_parameters())
         params["x"] = x
@@ -152,7 +152,7 @@ class TestFocalModulation:
         assert max(errs.values()) < 1e-3
 
     def test_gradient_64bit(self):
-        layer = make_layer(dim=3, kernels=(3, 3))
+        layer = make_layer(dim=3)
         x = Tensor(RNG.standard_normal((1, 3, 4, 4)), requires_grad=True)
         params = dict(layer.named_parameters())
         params["x"] = x
@@ -167,7 +167,7 @@ class TestFocalModulation:
 
 class TestFocalBlock:
     def make_block(self, dim=4, dtype=np.float64):
-        return FocalBlock(dim, (3, 5), np.random.default_rng(0), dtype)
+        return FocalBlock(dim, np.random.default_rng(0), dtype)
 
     def test_zeroed_residual_branches_identity(self):
         blk = self.make_block()
@@ -345,6 +345,7 @@ class TestDefaultConfig:
         cfg = FocalNetConfig.default(num_classes=50)
         assert cfg.stage_dims == (128, 256, 512, 1024)
         net = FocalNet(cfg, seed=0)
+        assert net.num_parameters() == 80_178_888
         x = Tensor(RNG.standard_normal((1, 3, 224, 224)).astype(np.float32))
         shapes = []
         with no_grad():
@@ -363,32 +364,27 @@ class TestDefaultConfig:
 
 
 class TestConfig:
+    # a change to a preset or to the fixed architecture (KERNEL_SIZES, the
+    # layer's projections) moves these counts, and must do so on purpose
+    @pytest.mark.parametrize("preset, count", [("tiny", 5_718), ("desk", 35_932)])
+    def test_preset_parameter_count(self, preset, count):
+        assert FocalNet(getattr(FocalNetConfig, preset)(num_classes=4)).num_parameters() == count
+
     def test_round_trip_dict(self):
         # through JSON, as a checkpoint header stores them
         for cfg in (FocalNetConfig.desk(num_classes=4), TrainConfig.desk(), FrontendConfig()):
             assert type(cfg)(**json.loads(json.dumps(asdict(cfg)))) == cfg
-
-    def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            FocalNetConfig(stage_depths=(1,), stage_dims=(8,), num_classes=4, kernel_sizes=(3, 4))
 
     # these values read from a checkpoint header are rows of test_training's
     # `test_unreadable_file_rejected`
     @pytest.mark.parametrize("fields, check", [
         # with no stage, FocalNet would have no last stage to pool
         (dict(stage_depths=(), stage_dims=()), "stage_depths must be positive integers"),
-        # no kernel is no focal level
-        (dict(kernel_sizes=()), "kernel_sizes must be positive integers"),
-        (dict(kernel_sizes=3), "kernel_sizes must be positive integers"),
-        (dict(kernel_sizes=(3, -1)), "kernel_sizes must be positive integers"),
-        (dict(kernel_sizes=(3, True)), "kernel_sizes must be positive integers"),
         # a fraction is refused, not truncated to a whole number
         (dict(stage_depths=(1.5, 1)), "stage_depths must be positive integers"),
         (dict(stage_dims=(8.5, 16)), "stage_dims must be positive integers"),
-        (dict(kernel_sizes=(3, 5.5)), "kernel_sizes must be positive integers"),
         (dict(num_classes=2.5), "num_classes must be an integer >= 2"),
-    ], ids=["no_stages", "no_kernels", "kernel_not_in_a_list", "negative_kernel", "bool_kernel",
-            "fractional_stage_depth", "fractional_stage_dim", "fractional_kernel",
+    ], ids=["no_stages", "fractional_stage_depth", "fractional_stage_dim",
             "fractional_num_classes"])
     def test_impossible_value_names_the_field(self, fields, check):
         with pytest.raises(ValueError, match=check):

@@ -72,7 +72,7 @@ def test_listenable_rms_matches_reference(synth):
 def test_sweep_rejects_clip_ids_of_another_length(synth):
     model, specs, _, _ = synth
     with pytest.raises(ValueError, match="clip_ids"):
-        metrics.quantile_sweep(model, specs[:3], (0.5,), INPUT_SIZE, clip_ids=["a", "b"])
+        metrics.evaluate(model, specs[:3], (0.5,), INPUT_SIZE, clip_ids=["a", "b"])
 
 
 def test_records_give_the_sweep_and_do_not_depend_on_batch_company(synth):

@@ -8,6 +8,7 @@ learning-rate schedule and validation accuracy."""
 import hashlib
 import json
 import math
+import re
 import struct
 from dataclasses import replace
 
@@ -229,8 +230,8 @@ class TestGradientSharing:
 
 
 # SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
-# is of the version-4 file, the model_id of the parameters alone
-PINNED_CKPT_SHA256 = "fb2442ba0b2c58ef38f3bc789da13b9d2699992b0d08319cce233ad282730596"
+# is of the version-5 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "3a0c35c6f6da7bda215e43d87b6efa322e64a90668e028ad3b2426dcc81ccb5f"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -336,7 +337,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 3) + b[12:]), "unsupported version 3, expected 4"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 4) + b[12:]), "unsupported version 4, expected 5"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
@@ -348,20 +349,20 @@ class TestCheckpoint:
         (header_field("frontend", win_ms=100.0), "malformed header: TypeError.*win_ms"),
         # a field the version-3 header had is refused, not ignored
         (train_field(grad_clip_norm=5.0), "malformed header: TypeError.*grad_clip_norm"),
+        # a field the version-4 header had is refused, not ignored
+        (model_field(kernel_sizes=[3, 5]), "malformed header: TypeError.*kernel_sizes"),
         # JSON's Infinity loads, and the first resumed step makes every parameter non-finite
         (train_field(lr_max=float("inf")), "malformed header: ValueError.*lr_max must be finite, got inf"),
         (train_field(lr_min=-1e-5), "malformed header: ValueError.*lr_min must be >= 0"),
+        # JSON's true is Python's True, an int, so it would train at lr 1
+        (train_field(lr_max=True), "malformed header: ValueError.*lr_max must be a real number, got True"),
         (lambda b: rewrite_header(b, lambda h: 5), "malformed header: AttributeError"),
         # model and train configs that would build, then fail or mislead at the first use
         (model_field(stage_dims=[0, 8]), "malformed header: ValueError.*stage_dims must be positive"),
         (model_field(stage_depths=[], stage_dims=[]),
          "malformed header: ValueError.*stage_depths must be positive integers"),
-        (model_field(kernel_sizes=[]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
-        (model_field(kernel_sizes=[3, -1]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
-        (model_field(kernel_sizes=[3, True]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
         (model_field(stage_depths=[1.5, 1]), "malformed header: ValueError.*stage_depths must be positive integers"),
         (model_field(stage_dims=[8.5, 16]), "malformed header: ValueError.*stage_dims must be positive integers"),
-        (model_field(kernel_sizes=[3, 5.5]), "malformed header: ValueError.*kernel_sizes must be positive integers"),
         (model_field(num_classes=2.5), "malformed header: ValueError.*num_classes must be an integer >= 2"),
         # a field the version-1 header had is refused, not ignored
         (model_field(focal_levels=2), "malformed header: TypeError.*focal_levels"),
@@ -396,15 +397,19 @@ class TestCheckpoint:
         # an unknown kind would load and then be dropped, losing a moment
         (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", kind="adam_w")),
          "malformed header: ValueError.*array adam_w head.weight is of no known kind"),
+        # raw bytes read as integers would build weights around 1e9 with an unchanged model_id
+        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": [{**a, "dtype": "<i4"}
+                                                                 for a in h["arrays"]]}),
+         "malformed header: ValueError.*array param \\S+ has dtype '<i4', not <f4 or <f8"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
             "header_with_invalid_frontend", "header_with_grad_clip_norm",
-            "header_with_infinite_lr_max", "header_with_negative_lr_min",
+            "header_with_kernel_sizes", "header_with_infinite_lr_max",
+            "header_with_negative_lr_min", "header_with_bool_lr_max",
             "header_not_an_object", "header_with_zero_stage_dim", "header_with_no_stages",
-            "header_with_no_kernels", "header_with_negative_kernel", "header_with_bool_kernel",
             "header_with_fractional_stage_depth", "header_with_fractional_stage_dim",
-            "header_with_fractional_kernel", "header_with_fractional_num_classes",
+            "header_with_fractional_num_classes",
             "header_with_focal_levels",
             "header_with_negative_seed", "header_with_fractional_seed",
             "header_with_fractional_batch_size", "header_with_fractional_epochs",
@@ -412,7 +417,7 @@ class TestCheckpoint:
             "header_with_fractional_optimizer_t", "record_pointing_at_another_array",
             "record_with_negative_offset", "record_with_wrong_nbytes",
             "record_with_negative_shape", "record_listed_twice", "record_missing",
-            "record_of_unknown_kind"])
+            "record_of_unknown_kind", "record_of_integer_dtype"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
@@ -443,6 +448,17 @@ class TestCheckpoint:
         path = tmp_path / "moment.ckpt"
         training.save_checkpoint(ckpt, path)
         with pytest.raises(training.CheckpointError, match=f"moment.ckpt: {check}"):
+            training.load_checkpoint(path)
+
+    # on resume, the first `optimizer_step` would raise a bare KeyError
+    @pytest.mark.parametrize("kind", ["m", "v"])
+    def test_moments_of_different_parameters_rejected(self, tmp_path, kind):
+        ckpt = pinned_checkpoint()
+        del getattr(ckpt.optimizer, kind)["downsamples.0.proj.bias"]
+        path = tmp_path / "moment.ckpt"
+        training.save_checkpoint(ckpt, path)
+        with pytest.raises(training.CheckpointError, match=re.escape(
+                "moment.ckpt: adam_m and adam_v differ in ['downsamples.0.proj.bias']")):
             training.load_checkpoint(path)
 
 
@@ -499,6 +515,17 @@ class TestOptimizerStep:
         params["stages.0.w"].grad = np.array([0.0, np.inf, 1.0])
         with pytest.raises(NumericalError, match="stages.0.w"):
             training.optimizer_step(params, training.AdamState(), 1e-3)
+
+
+class TestTrainConfig:
+    # a bool is an int to Python, so True would train at lr 1
+    @pytest.mark.parametrize("fields, check", [
+        (dict(lr_min=False, lr_max=True), "lr_min must be a real number, got False"),
+        (dict(lr_max=True), "lr_max must be a real number, got True"),
+    ], ids=["bool_lr_min", "bool_lr_max"])
+    def test_bool_rate_names_the_field(self, fields, check):
+        with pytest.raises(ValueError, match=check):
+            training.TrainConfig(**fields)
 
 
 class TestCyclicLr:
