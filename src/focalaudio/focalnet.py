@@ -109,7 +109,7 @@ class ChannelNorm(Module):
         self.beta = T.zeros_param(dim, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layernorm(x, self.gamma, self.beta, axis=-3)
+        return T.layernorm(x, self.gamma, self.beta)
 
 
 class FocalLayer(Module):
@@ -137,8 +137,6 @@ class FocalLayer(Module):
 
     def gated_aggregate(self, x: Tensor, contexts: list) -> Tensor:
         """Blend context maps with per-location scalar gates, then project."""
-        if len(contexts) != len(self.kernels) + 1:
-            raise ValueError(f"expected {len(self.kernels) + 1} context maps, got {len(contexts)}")
         gates = channel_linear(x, self.gate_proj)
         blended = None
         for lvl, ctx in enumerate(contexts):

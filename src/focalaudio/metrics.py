@@ -9,8 +9,9 @@ mask is 1 and its removal where it is 0, both made by `interpret.apply_mask`
 from the one uint8 mask with the default fill 0 elsewhere, and each goes
 through the identical resize/standardize path as the original input.
 
-`evaluate` is the one evaluation path: it returns a record per (clip, q)
-and `quantile_sweep` averages those records per q into a `SweepResult`.
+`evaluate` is the one evaluation path: it returns one `Evaluation`, whose
+arrays hold a row per clip and a column per q, and `quantile_sweep` averages
+its columns into a `SweepResult`.
 Neither writes files; serializing results is left to the caller. Every
 forward goes through `interpret.logits_and_maps`, which runs no_grad
 forwards in chunks of at most 16 inputs and returns logits and saliency
@@ -41,28 +42,24 @@ from .interpret import apply_mask, logits_and_maps, threshold_mask
 
 
 @dataclass
-class EvalRecord:
-    """One clip at one quantile order q."""
+class Evaluation:
+    """Every clip at every quantile order: row c is clip c and column i is
+    q = `qs[i]`. Both probabilities are float64, so `fa` subtracts in
+    float64."""
 
-    clip_id: str
-    q: float
-    predicted: int
-    predicted_on_interpretation: int
-    prob_predicted: float
-    prob_predicted_on_removal: float
-
-    def __post_init__(self):
-        for p in (self.prob_predicted, self.prob_predicted_on_removal):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+    qs: list
+    predicted: np.ndarray  # [n]
+    prob_predicted: np.ndarray  # [n]
+    predicted_on_interpretation: np.ndarray  # [n, |q|]
+    prob_predicted_on_removal: np.ndarray  # [n, |q|]
 
     @property
-    def agrees(self) -> bool:
-        return self.predicted == self.predicted_on_interpretation
+    def agrees(self) -> np.ndarray:
+        return self.predicted[:, None] == self.predicted_on_interpretation
 
     @property
-    def fa(self) -> float:
-        return self.prob_predicted - self.prob_predicted_on_removal
+    def fa(self) -> np.ndarray:
+        return self.prob_predicted[:, None] - self.prob_predicted_on_removal
 
 
 @dataclass
@@ -91,9 +88,9 @@ def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.nda
     return np.argmax(logits, axis=-1).astype(np.int64)
 
 
-def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalRecord]:
-    """One `EvalRecord` per (clip, q), clip-major, for the spectrograms
-    `clips` and the strictly increasing quantile orders `q_list`."""
+def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
+    """The spectrograms `clips` scored at the strictly increasing quantile
+    orders `q_list`."""
     qs = [float(q) for q in q_list]
     if not qs:
         raise ValueError("no q values")
@@ -103,10 +100,6 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
         raise ValueError("q values must be strictly increasing")
     if not clips:
         raise ValueError("empty clip set")
-    if clip_ids is None:
-        clip_ids = [f"clip{i}" for i in range(len(clips))]
-    if len(clip_ids) != len(clips):
-        raise ValueError(f"{len(clip_ids)} clip_ids for {len(clips)} clips")
     logits, maps = logits_and_maps(model, (to_model_input(s, out=input_size) for s in clips))
     probs = T.softmax(logits).data
     preds = np.argmax(probs, axis=-1)
@@ -120,17 +113,16 @@ def evaluate(model, clips, q_list, input_size: int, clip_ids=None) -> list[EvalR
 
     masked, _ = logits_and_maps(model, masked_inputs())
     masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)
-    return [EvalRecord(clip_id=cid, q=q, predicted=int(preds[c]),
-                       predicted_on_interpretation=int(np.argmax(masked[c, i, 0])),
-                       prob_predicted=float(probs[c, preds[c]]),
-                       prob_predicted_on_removal=float(masked[c, i, 1, preds[c]]))
-            for c, cid in enumerate(clip_ids) for i, q in enumerate(qs)]
+    removal = np.take_along_axis(masked[:, :, 1], preds[:, None, None], axis=-1)[..., 0]
+    return Evaluation(qs=qs, predicted=preds,
+                      prob_predicted=probs[np.arange(len(clips)), preds].astype(np.float64),
+                      predicted_on_interpretation=np.argmax(masked[:, :, 0], axis=-1),
+                      prob_predicted_on_removal=removal.astype(np.float64))
 
 
 def quantile_sweep(model, clips, q_list, input_size: int) -> SweepResult:
-    """FID-I and FA across quantile orders: per-q means of `evaluate`'s records."""
-    records = evaluate(model, clips, q_list, input_size)
-    fid = np.array([r.agrees for r in records], dtype=np.float64).reshape(len(clips), -1).mean(0)
-    fa = np.array([r.fa for r in records]).reshape(len(clips), -1).mean(0)
-    entries = [(r.q, float(f), float(d)) for r, f, d in zip(records[:fid.size], fid, fa)]
+    """FID-I and FA across quantile orders: the per-q means of `evaluate`."""
+    ev = evaluate(model, clips, q_list, input_size)
+    entries = [(q, float(f), float(d)) for q, f, d in zip(ev.qs, ev.agrees.mean(axis=0),
+                                                         ev.fa.mean(axis=0))]
     return SweepResult(entries=entries, n_clips=len(clips))

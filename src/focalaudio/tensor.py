@@ -157,14 +157,6 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -534,18 +526,15 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     return _attach(out, (x, k), "dwconv2d", bw)
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
-    """Zero mean / unit variance over one axis, then affine with gamma/beta.
-
-    gamma and beta are 1-d of length x.shape[axis].
-    """
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Zero mean / unit variance over the channel axis of [..., C, H, W],
+    then affine with the length-C gamma and beta."""
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    ax = axis % x.ndim
+    ax = x.ndim - 3
     n = x.shape[ax]
     if gamma.shape != (n,) or beta.shape != (n,):
         raise ValueError(f"layernorm: gamma/beta must have shape ({n},)")
-    bshape = [1] * x.ndim
-    bshape[ax] = n
+    bshape = (n, 1, 1)
     mu = x.data.mean(axis=ax, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=ax, keepdims=True)

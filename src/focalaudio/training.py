@@ -4,25 +4,19 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (5), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (6), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
 dicts (`model_config`, `train_config`, `frontend`), the `history`, the Adam
-step `optimizer_t`, and `arrays`, the index of the payload. It holds one
-{kind, name, dtype, shape, offset, nbytes} record per little-endian array
-(float64 stays "<f8", everything else is stored as "<f4"), written kind by
-kind (`param`, `adam_m`, `adam_v`) and by sorted parameter path within a
-kind; `adam_m` and `adam_v` name the same parameters. Version 5's
-`model_config` holds `stage_depths`, `stage_dims` and `num_classes`, its
-`frontend` holds `input_size` and its `train_config` holds `batch_size`,
-`epochs`, `lr_min`, `lr_max`, `step_size` and `seed`. Older files are
-refused by their version: version 1's configs also held the architecture
-constants and the loss scale, version 2's `frontend` the STFT geometry (now
-`audio`'s constants), version 3's `train_config` the weight decay, clip
-norm, loss margin and augment probability (now `WEIGHT_DECAY`,
-`GRAD_CLIP_NORM`, `AM_MARGIN` and `audio.AUGMENT_PROB`), and version 4's
-`model_config` the focal kernel list (now `focalnet.KERNEL_SIZES`).
+step `optimizer_t`, and `params`, one [name, dtype, shape] entry per
+parameter in strictly increasing name order, dtype "<f8" for float64 and
+"<f4" for everything else. The payload is the little-endian parameters in
+that order, followed, when `optimizer_t` > 0, by every parameter's Adam
+first moment and then its second moment, in the same order and dtypes;
+`optimizer_step` makes both moments of every parameter at its first step,
+so the step count says whether they are there. Offsets follow from the
+shapes. A file of any other version is refused by its number.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -61,7 +55,8 @@ from .tensor import NumericalError, Tensor, backward
 class CheckpointError(ValueError):
     """An unreadable checkpoint file, named with the check that failed
     (magic, length, checksum, version or header), or a checkpoint that does
-    not fit its model, named with the parameter."""
+    not fit its model or whose Adam moments the file cannot hold, named with
+    the parameter."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -379,33 +374,42 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 5
+_CKPT_VERSION = 6
+
+
+def _stored_dtype(arr) -> str:
+    return "<f8" if arr.dtype == np.float64 else "<f4"
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Parameters and Adam moments by path, configs, history and Adam step,
-    in the layout of the module docstring."""
-    index = []
-    raws = []
-    offset = 0
-    for kind, named in (("param", ckpt.params), ("adam_m", ckpt.optimizer.m),
-                        ("adam_v", ckpt.optimizer.v)):
-        for name in sorted(named):
-            arr = named[name]
-            dt = "<f8" if arr.dtype == np.float64 else "<f4"
-            raw = np.ascontiguousarray(arr, dtype=dt)
-            index.append({"kind": kind, "name": name, "dtype": dt,
-                          "shape": list(arr.shape), "offset": offset, "nbytes": raw.nbytes})
-            raws.append(raw)
-            offset += raw.nbytes
+    """Parameters, configs, history, Adam step and, after the first step,
+    the Adam moments, in the layout of the module docstring. Moments that
+    the layout cannot hold are refused: any at step 0, and after it any set
+    that is not one moment per parameter, of its shape and stored dtype."""
+    opt = ckpt.optimizer
+    for kind, moments in (("adam_m", opt.m), ("adam_v", opt.v)):
+        unpaired = moments.keys() ^ (ckpt.params.keys() if opt.t else set())
+        if unpaired:
+            raise CheckpointError(f"{kind} at optimizer_t {opt.t} differs from the parameters "
+                                  f"in {sorted(unpaired)}")
+        for name, moment in moments.items():
+            param = ckpt.params[name]
+            if (moment.shape, _stored_dtype(moment)) != (param.shape, _stored_dtype(param)):
+                raise CheckpointError(f"{kind} {name} has shape {moment.shape} and dtype "
+                                      f"{moment.dtype}, its parameter {param.shape} and {param.dtype}")
+    index = [[name, _stored_dtype(ckpt.params[name]), list(ckpt.params[name].shape)]
+             for name in sorted(ckpt.params)]
     head = json.dumps({
         "model_config": asdict(ckpt.model_config),
         "train_config": asdict(ckpt.train_config),
         "frontend": asdict(ckpt.frontend),
         "history": ckpt.history,
-        "optimizer_t": ckpt.optimizer.t,
-        "arrays": index,
+        "optimizer_t": opt.t,
+        "params": index,
     }, sort_keys=True).encode()
+    raws = (np.ascontiguousarray(named[name], dtype=dt)
+            for named in ((ckpt.params, opt.m, opt.v) if opt.t else (ckpt.params,))
+            for name, dt, _ in index)
     digest = hashlib.sha256()
     with open(path, "wb") as f:
         for part in (_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(head)) + head, *raws):
@@ -418,12 +422,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Magic, length, checksum and version are checked, in that order, before
     the header is parsed or anything is built (a file shorter than the magic
     is reported as truncated). The header's `optimizer_t` must be an integer
-    >= 0, and its array index must describe the layout the writer makes:
-    each (kind, name) once, of a kind and a dtype the writer writes, each
-    record at the running offset from 0 with size x itemsize bytes, the
-    records covering the payload exactly. Then every Adam moment must belong
-    to a stored parameter of its shape, and `adam_m` and `adam_v` must name
-    the same parameters. Any failure raises `CheckpointError`."""
+    >= 0 and its `params` must list strictly increasing names, each with a
+    dtype the writer writes and a shape of whole counts, and the payload must
+    hold exactly those arrays, three times over if `optimizer_t` > 0. Any
+    failure raises `CheckpointError`."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
     magic_len = len(_CKPT_MAGIC)
@@ -441,37 +443,37 @@ def load_checkpoint(path) -> Checkpoint:
     if found != _CKPT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {found}, expected {_CKPT_VERSION}")
     payload = body[prefix + hlen :]
-    arrays: dict = {}
     try:  # a checksummed file can still come from another writer
         header = json.loads(bytes(body[prefix : prefix + hlen]))
-        index, t = header.pop("arrays"), header["optimizer_t"]
+        index, t = header.pop("params"), header["optimizer_t"]
         if type(t) is not int or t < 0:
             raise ValueError(f"optimizer_t {t!r} is not an integer >= 0")
-        offset = 0  # records lie end to end, in order, from the payload's start
-        for a in index:
-            what = f"array {a['kind']} {a['name']}"
-            if a["kind"] not in ("param", "adam_m", "adam_v"):
-                raise ValueError(f"{what} is of no known kind")
-            if a["name"] in arrays.get(a["kind"], {}):
-                raise ValueError(f"{what} is listed twice")
-            if a["dtype"] not in ("<f4", "<f8"):
-                raise ValueError(f"{what} has dtype {a['dtype']!r}, not <f4 or <f8")
-            shape = a["shape"]
+        names = [name for name, _, _ in index]
+        for a, b in zip(names, names[1:]):
+            if b <= a:
+                raise ValueError(f"parameter {b} follows {a}: names must be unique and sorted")
+        for name, dtype, shape in index:
+            if dtype not in ("<f4", "<f8"):
+                raise ValueError(f"parameter {name} has dtype {dtype!r}, not <f4 or <f8")
             if not all(type(d) is int and d >= 0 for d in shape):
-                raise ValueError(f"{what} has shape {shape}")
-            nbytes = int(np.prod(shape)) * np.dtype(a["dtype"]).itemsize
-            if (a["offset"], a["nbytes"]) != (offset, nbytes) or offset + nbytes > len(payload):
-                raise ValueError(f"{what} at offset {a['offset']} of {a['nbytes']} bytes, expected "
-                                 f"offset {offset} of {nbytes} within {len(payload)} payload bytes")
-            raw = payload[offset : offset + nbytes]
-            arrays.setdefault(a["kind"], {})[a["name"]] = np.frombuffer(
-                raw, dtype=a["dtype"]).reshape(shape).copy()
-            offset += nbytes
-        if offset != len(payload):
-            raise ValueError(f"the arrays cover {offset} of the payload's {len(payload)} bytes")
-        ckpt = Checkpoint(
-            params=arrays.get("param", {}),
-            optimizer=AdamState(m=arrays.get("adam_m", {}), v=arrays.get("adam_v", {}), t=t),
+                raise ValueError(f"parameter {name} has shape {shape}")
+        sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for _, dtype, shape in index]
+        copies = 3 if t else 1
+        if len(payload) != copies * sum(sizes):
+            raise ValueError(f"payload of {len(payload)} bytes, expected {copies} x "
+                             f"{sum(sizes)} for {len(index)} parameters at optimizer_t {t}")
+        groups, offset = [], 0
+        for _ in range(copies):  # parameters, then adam_m and adam_v
+            group = {}
+            for (name, dtype, shape), size in zip(index, sizes):
+                group[name] = np.frombuffer(payload[offset : offset + size],
+                                            dtype=dtype).reshape(shape).copy()
+                offset += size
+            groups.append(group)
+        params, m, v = groups if t else (groups[0], {}, {})
+        return Checkpoint(
+            params=params,
+            optimizer=AdamState(m=m, v=v, t=t),
             train_config=TrainConfig(**header["train_config"]),
             model_config=FocalNetConfig(**header["model_config"]),
             frontend=FrontendConfig(**header["frontend"]),
@@ -479,14 +481,3 @@ def load_checkpoint(path) -> Checkpoint:
         )
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from None
-    for kind, moments in (("adam_m", ckpt.optimizer.m), ("adam_v", ckpt.optimizer.v)):
-        for name, moment in moments.items():
-            if name not in ckpt.params:
-                raise CheckpointError(f"{path}: {kind} {name} is not a stored parameter")
-            if moment.shape != ckpt.params[name].shape:
-                raise CheckpointError(f"{path}: {kind} {name} has shape {moment.shape}, "
-                                      f"its parameter {ckpt.params[name].shape}")
-    unpaired = ckpt.optimizer.m.keys() ^ ckpt.optimizer.v.keys()
-    if unpaired:
-        raise CheckpointError(f"{path}: adam_m and adam_v differ in {sorted(unpaired)}")
-    return ckpt

@@ -13,7 +13,9 @@ apart from the fit.
 
 Then, on the `interpret_desk` benchmark pool of seed 0 (8 synthetic
 clips, 5 s at 44.1 kHz, an untrained seed-0 desk model at 96x96):
-`evaluate` records at 5 q, the per-clip sweep entries, `predict_batch` at
+`evaluate` at 5 q, hashed as one (clip id, q, predicted class, class on
+the interpretation, probability, probability on the removal) row per clip
+and q, clip-major; the per-clip sweep entries, `predict_batch` at
 batch size 3 and the q = 0.9 listening waveforms. Then a 2-epoch desk `fit`
 on the 16 kHz, 1 s, 80-clip synthetic set of seed 0: its log lines without
 the timing keys, its history and the `model_id` of its last and best
@@ -62,14 +64,16 @@ def interpretation_hashes(root: Path) -> dict:
     waves = [audio.load_wav(r.path) for r in manifest.records]
     specs = [audio.preprocess(w, frontend)[0] for w in waves]
     ids = [r.clip_id for r in manifest.records]
-    records = metrics.evaluate(model, specs, Q, frontend.input_size, clip_ids=ids)
+    ev = metrics.evaluate(model, specs, Q, frontend.input_size)
     sweeps = [metrics.quantile_sweep(model, [s], Q, frontend.input_size).entries for s in specs]
     preds = metrics.predict_batch(model, specs, frontend.input_size, batch_size=3)
     listen = [interpret.listenable_interpretation(w, model, frontend, q=0.9) for w in waves]
     return {
-        "evaluate_records": sha([[r.clip_id, r.q, r.predicted, r.predicted_on_interpretation,
-                                  r.prob_predicted, r.prob_predicted_on_removal]
-                                 for r in records]),
+        "evaluate_records": sha([[cid, q, int(ev.predicted[c]),
+                                  int(ev.predicted_on_interpretation[c, i]),
+                                  float(ev.prob_predicted[c]),
+                                  float(ev.prob_predicted_on_removal[c, i])]
+                                 for c, cid in enumerate(ids) for i, q in enumerate(ev.qs)]),
         "sweep_entries": sha(sweeps),
         "predict_batch_3": sha(preds.tolist()),
         "listening_q0.9": sha(*(w.samples.tobytes() + str(w.sample_rate).encode()

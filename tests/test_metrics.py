@@ -69,27 +69,24 @@ def test_listenable_rms_matches_reference(synth):
     np.testing.assert_allclose(rms, REF_RMS_Q09, rtol=1e-5, atol=0)
 
 
-def test_sweep_rejects_clip_ids_of_another_length(synth):
-    model, specs, _, _ = synth
-    with pytest.raises(ValueError, match="clip_ids"):
-        metrics.evaluate(model, specs[:3], (0.5,), INPUT_SIZE, clip_ids=["a", "b"])
-
-
 def test_records_give_the_sweep_and_do_not_depend_on_batch_company(synth):
     model, specs, _, _ = synth
-    records = metrics.evaluate(model, specs, Q, INPUT_SIZE, clip_ids=[f"c{i}" for i in range(8)])
-    assert [(r.clip_id, r.q) for r in records] == [(f"c{c}", q) for c in range(8) for q in Q]
+    ev = metrics.evaluate(model, specs, Q, INPUT_SIZE)
+    assert ev.qs == list(Q)
+    assert ev.predicted.shape == ev.prob_predicted.shape == (8,)
+    assert ev.predicted_on_interpretation.shape == ev.prob_predicted_on_removal.shape == (8, 5)
+    assert ev.prob_predicted.dtype == ev.prob_predicted_on_removal.dtype == np.float64
     sweep = metrics.quantile_sweep(model, specs, Q, INPUT_SIZE)
-    for q, fid, fa in sweep.entries:
-        at_q = [r for r in records if r.q == q]
-        assert fid == np.mean([r.agrees for r in at_q])
-        assert fa == pytest.approx(np.mean([r.fa for r in at_q]), abs=1e-12)
-    # the last clip evaluated alone, in a batch of one, gives the same record
-    alone = metrics.evaluate(model, specs[-1:], Q, INPUT_SIZE, clip_ids=["c7"])
-    for a, r in zip(alone, records[-len(Q):], strict=True):
-        assert (a.clip_id, a.q, a.predicted, a.predicted_on_interpretation) == \
-            (r.clip_id, r.q, r.predicted, r.predicted_on_interpretation)
-        assert a.fa == pytest.approx(r.fa, abs=1e-5)
+    for i, (q, fid, fa) in enumerate(sweep.entries):
+        assert q == Q[i]
+        assert fid == np.mean(ev.agrees[:, i])
+        assert fa == pytest.approx(np.mean(ev.fa[:, i]), abs=1e-12)
+    # the last clip evaluated alone, in a batch of one, gives the same row
+    alone = metrics.evaluate(model, specs[-1:], Q, INPUT_SIZE)
+    assert alone.predicted.tolist() == ev.predicted[-1:].tolist()
+    np.testing.assert_array_equal(alone.predicted_on_interpretation,
+                                  ev.predicted_on_interpretation[-1:])
+    np.testing.assert_allclose(alone.fa, ev.fa[-1:], rtol=0, atol=1e-5)
 
 
 @pytest.mark.parametrize("n_clips, qs", [(1, Q), (8, (0.5,)), (24, (0.2, 0.8))])

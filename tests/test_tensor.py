@@ -334,24 +334,24 @@ class TestGeluFloat32:
 
 class TestLayernorm:
     def test_constant_input_collapses_to_beta(self):
-        x = Tensor(np.full((5,), 3.3))
+        x = Tensor(np.full((2, 5, 3, 3), 3.3))
         y = layernorm(x, Tensor(np.ones(5)), Tensor(np.zeros(5)))
         np.testing.assert_allclose(y.data, 0.0, atol=1e-6)
 
     def test_mean_zero_var_one(self):
-        x = randt(7, 4, 4, requires_grad=False)
-        y = layernorm(x, T.ones_param(7, dtype=np.float64), T.zeros_param(7, dtype=np.float64), axis=0).data
-        np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-5)
+        x = randt(2, 7, 4, 4, requires_grad=False)
+        y = layernorm(x, T.ones_param(7, dtype=np.float64), T.zeros_param(7, dtype=np.float64)).data
+        np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-5)
         # (x - mean) / sqrt(var + eps) has variance var / (var + eps), not 1
-        var = x.data.var(axis=0)
-        np.testing.assert_allclose(y.var(axis=0), var / (var + 1e-5), rtol=1e-12)
+        var = x.data.var(axis=1)
+        np.testing.assert_allclose(y.var(axis=1), var / (var + 1e-5), rtol=1e-12)
 
     def test_gradient(self):
-        x = randt(6, 3, 3)
+        x = randt(2, 6, 3, 3)
         g = randt(6)
         b = randt(6)
         errs = gradient_check(
-            lambda: (layernorm(x, g, b, axis=0) * layernorm(x, g, b, axis=0)).sum(),
+            lambda: (layernorm(x, g, b) * layernorm(x, g, b)).sum(),
             {"x": x, "g": g, "b": b},
         )
         assert max(errs.values()) < 1e-4
@@ -485,7 +485,7 @@ def sweep_cases(rng) -> dict:
         "linear": (lambda: (linear(x, Wm) * linear(x, Wm)).sum(), {"x": x, "W": Wm}),
         "dwconv2d": (lambda: gelu(dwconv2d(x, k)).sum(), {"x": x, "k": k}),
         "gelu": (lambda: (gelu(x) * gelu(x)).sum(), {"x": x}),
-        "layernorm": (lambda: (layernorm(x, gam, bet, axis=1) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
+        "layernorm": (lambda: (layernorm(x, gam, bet) * x).sum(), {"x": x, "gam": gam, "bet": bet}),
         "pool": (lambda: (global_avg_pool(x) * global_avg_pool(x)).sum(), {"x": x}),
         "softmax": (lambda: (softmax(x) * x).sum(), {"x": x}),
         "cross_entropy": (lambda: T.cross_entropy(logits, onehot), {"logits": logits}),
@@ -499,7 +499,7 @@ def sweep_cases(rng) -> dict:
         "add_broadcast": (lambda: ((x + row + col) * (x + row + col)).sum(), {"x": x, "row": row, "col": col}),
         "mul_broadcast": (lambda: (x * row * col * x).sum(), {"x": x, "row": row, "col": col}),
         "getitem": (lambda: (x[:, :, 1:, ::2] * x[:, :, 1:, ::2]).sum(), {"x": x}),
-        "transpose_reshape": (lambda: (T.moveaxis(x, 1, 3).reshape(-1) * x.reshape(-1)).sum(), {"x": x}),
+        "transpose_reshape": (lambda: (T.reshape(T.moveaxis(x, 1, 3), (-1,)) * T.reshape(x, (-1,))).sum(), {"x": x}),
         "broadcast_to": (lambda: (T.broadcast_to(row, x.shape) * x * x).sum(), {"row": row, "x": x}),
         "pad": (lambda: (T.pad_bottom_right(x, 2, 1) * T.pad_bottom_right(x, 2, 1)).sum(), {"x": x}),
     }
@@ -581,7 +581,7 @@ class TestPlumbingOps:
 
     def test_transpose_reshape_grad(self):
         x = randt(2, 3, 4)
-        errs = gradient_check(lambda: (x.transpose((2, 0, 1)).reshape(4, 6) * 2.0).sum(), {"x": x})
+        errs = gradient_check(lambda: (T.reshape(T.transpose(x, (2, 0, 1)), (4, 6)) * 2.0).sum(), {"x": x})
         assert errs["x"] < 1e-5
 
     def test_broadcast_to_grad(self):

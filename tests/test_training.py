@@ -230,8 +230,8 @@ class TestGradientSharing:
 
 
 # SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
-# is of the version-5 file, the model_id of the parameters alone
-PINNED_CKPT_SHA256 = "3a0c35c6f6da7bda215e43d87b6efa322e64a90668e028ad3b2426dcc81ccb5f"
+# is of the version-6 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "9ef5c22c5abb5b6d1254f1a342f2d7a481a4ccfb9641efebcc6200f95d1889f4"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -278,18 +278,19 @@ def rewrite_header(blob: bytes, edit) -> bytes:
     return rewrite_trailer(blob[:12] + struct.pack("<Q", len(head)) + head + blob[20 + hlen :])
 
 
-def with_record(h: dict, of_kind: str, name: str, **changes) -> dict:
-    """Header `h` with the array record of (of_kind, name) changed."""
-    return {**h, "arrays": [{**a, **changes} if (a["kind"], a["name"]) == (of_kind, name) else a
-                            for a in h["arrays"]]}
+def with_entry(h: dict, name: str, **changes) -> dict:
+    """Header `h` with the `params` entry of `name` given another dtype or shape."""
+    return {**h, "params": [[n, changes.get("dtype", dt), changes.get("shape", shape)]
+                            if n == name else [n, dt, shape] for n, dt, shape in h["params"]]}
 
 
-def record(h: dict, kind: str, name: str) -> dict:
-    return next(a for a in h["arrays"] if (a["kind"], a["name"]) == (kind, name))
-
-
-def payload_bytes(h: dict) -> int:
-    return sum(a["nbytes"] for a in h["arrays"])
+def without_last_array(blob: bytes) -> bytes:
+    """The file with the payload's last array (the last parameter's second
+    moment) cut off, re-sealed."""
+    (hlen,) = struct.unpack("<Q", blob[12:20])
+    _, dtype, shape = json.loads(blob[20 : 20 + hlen])["params"][-1]
+    cut = math.prod(shape) * np.dtype(dtype).itemsize
+    return rewrite_trailer(blob[: -32 - cut] + blob[-32:])
 
 
 def header_field(config: str, **fields):
@@ -337,7 +338,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 4) + b[12:]), "unsupported version 4, expected 5"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 5) + b[12:]), "unsupported version 5, expected 6"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
@@ -380,27 +381,32 @@ class TestCheckpoint:
         (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": 2.5}),
          "malformed header: ValueError.*optimizer_t 2.5 is not an integer >= 0"),
         # an index that does not describe the writer's layout
-        (lambda b: rewrite_header(b, lambda h: with_record(
-            h, "param", "head.weight", offset=record(h, "adam_m", "head.weight")["offset"])),
-         "malformed header: ValueError.*array param head.weight at offset \\d+ of 256 bytes, expected"),
-        (lambda b: rewrite_header(b, lambda h: with_record(
-            h, "param", "head.weight", offset=record(h, "param", "head.weight")["offset"] - payload_bytes(h))),
-         "malformed header: ValueError.*array param head.weight at offset -\\d+ of 256 bytes, expected"),
-        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", nbytes=260)),
-         "malformed header: ValueError.*array adam_v head.weight at offset \\d+ of 260 bytes, expected"),
-        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", shape=[-1, 16])),
-         "malformed header: ValueError.*array adam_v head.weight has shape \\[-1, 16\\]"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": h["arrays"] + h["arrays"][:1]}),
-         "malformed header: ValueError.*array param \\S+ is listed twice"),
-        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": h["arrays"][:-1]}),
-         "malformed header: ValueError.*the arrays cover \\d+ of the payload's \\d+ bytes"),
-        # an unknown kind would load and then be dropped, losing a moment
-        (lambda b: rewrite_header(b, lambda h: with_record(h, "adam_v", "head.weight", kind="adam_w")),
-         "malformed header: ValueError.*array adam_w head.weight is of no known kind"),
+        # (two entries swapped would read each other's bytes)
+        (lambda b: rewrite_header(b, lambda h: {**h, "params": [h["params"][1], h["params"][0],
+                                                                *h["params"][2:]]}),
+         "malformed header: ValueError.*parameter \\S+ follows \\S+: names must be unique and sorted"),
+        # a record of 8 bytes per element over a payload written at 4
+        (lambda b: rewrite_header(b, lambda h: with_entry(h, "head.weight", dtype="<f8")),
+         "malformed header: ValueError.*payload of \\d+ bytes, expected 3 x \\d+ for 43 "
+         "parameters at optimizer_t 4"),
+        (lambda b: rewrite_header(b, lambda h: with_entry(h, "head.weight", shape=[-1, 16])),
+         "malformed header: ValueError.*parameter head.weight has shape \\[-1, 16\\]"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "params": h["params"][:1] + h["params"]}),
+         "malformed header: ValueError.*parameter (\\S+) follows \\1: names must be unique"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "params": h["params"][:-1]}),
+         "malformed header: ValueError.*payload of \\d+ bytes, expected 3 x \\d+ for 42 "
+         "parameters at optimizer_t 4"),
+        (without_last_array,
+         "malformed header: ValueError.*payload of \\d+ bytes, expected 3 x \\d+ for 43 "
+         "parameters at optimizer_t 4"),
+        # a step count of 0 says there are no moments, so the payload is too long
+        (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": 0}),
+         "malformed header: ValueError.*payload of \\d+ bytes, expected 1 x \\d+ for 43 "
+         "parameters at optimizer_t 0"),
         # raw bytes read as integers would build weights around 1e9 with an unchanged model_id
-        (lambda b: rewrite_header(b, lambda h: {**h, "arrays": [{**a, "dtype": "<i4"}
-                                                                 for a in h["arrays"]]}),
-         "malformed header: ValueError.*array param \\S+ has dtype '<i4', not <f4 or <f8"),
+        (lambda b: rewrite_header(b, lambda h: {**h, "params": [[n, "<i4", shape]
+                                                                for n, _, shape in h["params"]]}),
+         "malformed header: ValueError.*parameter \\S+ has dtype '<i4', not <f4 or <f8"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
@@ -415,9 +421,9 @@ class TestCheckpoint:
             "header_with_fractional_batch_size", "header_with_fractional_epochs",
             "header_with_fractional_input_size", "header_with_negative_optimizer_t",
             "header_with_fractional_optimizer_t", "record_pointing_at_another_array",
-            "record_with_negative_offset", "record_with_wrong_nbytes",
-            "record_with_negative_shape", "record_listed_twice", "record_missing",
-            "record_of_unknown_kind", "record_of_integer_dtype"])
+            "record_with_wrong_nbytes", "record_with_negative_shape", "record_listed_twice",
+            "record_missing", "payload_without_last_array", "header_with_zero_optimizer_t",
+            "record_of_integer_dtype"])
     def test_unreadable_file_rejected(self, tmp_path, corrupt, check):
         path = tmp_path / "bad.ckpt"
         training.save_checkpoint(pinned_checkpoint(), path)
@@ -437,29 +443,60 @@ class TestCheckpoint:
         with pytest.raises(training.CheckpointError, match="shape mismatch for head.weight"):
             ckpt.build_model()
 
-    # a (1,) moment would broadcast silently in `optimizer_step` on resume
-    @pytest.mark.parametrize("kind, name, check", [
-        ("v", "head.weight", r"adam_v head.weight has shape \(1,\), its parameter \(4, 16\)"),
-        ("m", "head.scale", "adam_m head.scale is not a stored parameter"),
-    ], ids=["reshaped", "without_parameter"])
-    def test_moment_that_fits_no_parameter_rejected(self, tmp_path, kind, name, check):
+    # a (1,) moment would broadcast silently in `optimizer_step` on resume,
+    # and a float64 moment would be stored at its parameter's float32
+    @pytest.mark.parametrize("kind, name, moment, check", [
+        ("v", "head.weight", np.ones(1, dtype=np.float32),
+         r"adam_v head.weight has shape \(1,\) and dtype float32, its parameter \(4, 16\) "
+         r"and float32"),
+        ("m", "head.scale", np.ones(1, dtype=np.float32),
+         re.escape("adam_m at optimizer_t 4 differs from the parameters in ['head.scale']")),
+        ("m", "head.weight", np.ones((4, 16)),
+         r"adam_m head.weight has shape \(4, 16\) and dtype float64, its parameter \(4, 16\) "
+         r"and float32"),
+    ], ids=["reshaped", "without_parameter", "retyped"])
+    def test_moment_that_fits_no_parameter_rejected(self, tmp_path, kind, name, moment, check):
         ckpt = pinned_checkpoint()
-        getattr(ckpt.optimizer, kind)[name] = np.ones(1, dtype=np.float32)
-        path = tmp_path / "moment.ckpt"
-        training.save_checkpoint(ckpt, path)
-        with pytest.raises(training.CheckpointError, match=f"moment.ckpt: {check}"):
-            training.load_checkpoint(path)
+        getattr(ckpt.optimizer, kind)[name] = moment
+        with pytest.raises(training.CheckpointError, match=check):
+            training.save_checkpoint(ckpt, tmp_path / "moment.ckpt")
+        assert not (tmp_path / "moment.ckpt").exists()
 
     # on resume, the first `optimizer_step` would raise a bare KeyError
     @pytest.mark.parametrize("kind", ["m", "v"])
     def test_moments_of_different_parameters_rejected(self, tmp_path, kind):
         ckpt = pinned_checkpoint()
         del getattr(ckpt.optimizer, kind)["downsamples.0.proj.bias"]
-        path = tmp_path / "moment.ckpt"
-        training.save_checkpoint(ckpt, path)
         with pytest.raises(training.CheckpointError, match=re.escape(
-                "moment.ckpt: adam_m and adam_v differ in ['downsamples.0.proj.bias']")):
-            training.load_checkpoint(path)
+                f"adam_{kind} at optimizer_t 4 differs from the parameters in "
+                "['downsamples.0.proj.bias']")):
+            training.save_checkpoint(ckpt, tmp_path / "moment.ckpt")
+
+    # the file of a step-0 state holds no moments, so it could not give them back
+    @pytest.mark.parametrize("kind", ["m", "v"])
+    def test_moments_before_the_first_step_rejected(self, tmp_path, kind):
+        ckpt = pinned_checkpoint()
+        ckpt.optimizer = training.AdamState(**{kind: {"head.weight": ckpt.params["head.weight"]}})
+        with pytest.raises(training.CheckpointError, match=re.escape(
+                f"adam_{kind} at optimizer_t 0 differs from the parameters in ['head.weight']")):
+            training.save_checkpoint(ckpt, tmp_path / "moment.ckpt")
+
+    def test_round_trip_before_the_first_step(self, tmp_path):
+        full = pinned_checkpoint()
+        bare = replace(full, optimizer=training.AdamState())
+        training.save_checkpoint(full, tmp_path / "full.ckpt")
+        training.save_checkpoint(bare, tmp_path / "bare.ckpt")
+        back = training.load_checkpoint(tmp_path / "bare.ckpt")
+        assert back.optimizer == training.AdamState()
+        assert back.params.keys() == bare.params.keys()
+        for name, arr in bare.params.items():
+            assert back.params[name].dtype == arr.dtype
+            np.testing.assert_array_equal(back.params[name], arr, err_msg=name)
+        assert back.model_id() == PINNED_MODEL_ID
+        # the moments are the only difference: two copies of the parameters
+        moment_bytes = 2 * sum(arr.nbytes for arr in bare.params.values())
+        size = {name: (tmp_path / f"{name}.ckpt").stat().st_size for name in ("full", "bare")}
+        assert size["full"] - size["bare"] == moment_bytes
 
 
 def adam_by_hand(values: dict, steps: list, lrs: list, weight_decay: float, clip: float):
