@@ -13,8 +13,8 @@ plain arrays in `audio` and `interpret`.
 
 Conventions fixed here:
 
-* default dtype is float32; float64 is available for gradient-check oracles
-  (pass ``dtype=np.float64`` to the factories or feed float64 arrays),
+* parameters are float32; the gradient-check oracles run the same ops on
+  float64 tensors, cast from a built module's parameters or fed as arrays,
 * GeLU is the erf form, not the tanh approximation. float64 (the gradient
   oracles) uses scipy's erf. float32 uses the single-precision rational erf
   of Eigen and XLA, evaluated in blocks of the input's memory: its normal
@@ -673,23 +673,23 @@ def _walk_params(name: str, value) -> Iterator[tuple[str, Tensor]]:
             yield from _walk_params(f"{name}.{i}", v)
 
 
-def trunc_normal(shape, rng: np.random.Generator, dtype=DEFAULT_DTYPE) -> Tensor:
+def trunc_normal(shape, rng: np.random.Generator) -> Tensor:
     """Normal(0, 0.02) resampled until within two standard deviations, as a
-    trainable parameter."""
+    trainable float32 parameter."""
     vals = rng.normal(0.0, _INIT_STD, size=shape)
     bad = np.abs(vals) > 2 * _INIT_STD
     while bad.any():
         vals[bad] = rng.normal(0.0, _INIT_STD, size=int(bad.sum()))
         bad = np.abs(vals) > 2 * _INIT_STD
-    return Tensor(vals.astype(dtype), requires_grad=True)
+    return Tensor(vals.astype(DEFAULT_DTYPE), requires_grad=True)
 
 
-def zeros_param(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+def zeros_param(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=True)
 
 
-def ones_param(shape, dtype=DEFAULT_DTYPE) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
+def ones_param(shape) -> Tensor:
+    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=True)
 
 
 def check_finite(data: np.ndarray, where: str) -> None:

@@ -4,19 +4,19 @@ checkpoints.
 
 The checkpoint file is the package's one binary format:
 
-    b"FOCALCK1" | <IQ version (6), header length | JSON header | payload
+    b"FOCALCK1" | <IQ version (7), header length | JSON header | payload
     | SHA-256 of everything before it (32 bytes)
 
 The header is sorted-key JSON: the three configs as `dataclasses.asdict`
 dicts (`model_config`, `train_config`, `frontend`), the `history`, the Adam
-step `optimizer_t`, and `params`, one [name, dtype, shape] entry per
-parameter in strictly increasing name order, dtype "<f8" for float64 and
-"<f4" for everything else. The payload is the little-endian parameters in
-that order, followed, when `optimizer_t` > 0, by every parameter's Adam
-first moment and then its second moment, in the same order and dtypes;
-`optimizer_step` makes both moments of every parameter at its first step,
-so the step count says whether they are there. Offsets follow from the
-shapes. A file of any other version is refused by its number.
+step `optimizer_t`, and `params`, one [name, shape] entry per parameter in
+strictly increasing name order. The payload is the parameters as
+little-endian float32, the model's one dtype, in that order, followed, when
+`optimizer_t` > 0, by every parameter's Adam first moment and then its
+second moment, in the same order; `optimizer_step` makes both moments of
+every parameter at its first step, so the step count says whether they are
+there. Offsets follow from the shapes. A file of any other version is
+refused by its number.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -55,8 +55,8 @@ from .tensor import NumericalError, Tensor, backward
 class CheckpointError(ValueError):
     """An unreadable checkpoint file, named with the check that failed
     (magic, length, checksum, version or header), or a checkpoint that does
-    not fit its model or whose Adam moments the file cannot hold, named with
-    the parameter."""
+    not fit its model or holds an array the file cannot, named with the
+    array."""
 
 
 class TrainingDiverged(RuntimeError):
@@ -231,7 +231,7 @@ class Checkpoint:
     history: list
 
     def build_model(self) -> FocalNet:
-        """A float32 model holding the stored parameters."""
+        """A model holding copies of the stored arrays, which `model_id` names."""
         model = FocalNet(self.model_config, seed=0)
         named = dict(model.named_parameters())
         missing = set(named) ^ set(self.params)
@@ -241,7 +241,7 @@ class Checkpoint:
             stored = self.params[name]
             if stored.shape != p.data.shape:
                 raise CheckpointError(f"shape mismatch for {name}")
-            p.data = stored.astype(np.float32, copy=True)
+            p.data = stored.copy()
         return model
 
     def model_id(self) -> str:
@@ -290,7 +290,8 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
         start_epoch: int = 0, optimizer_state: AdamState | None = None) -> FitResult:
     """Epoch loop with augmentation (training only), per-epoch validation
     accuracy and best-on-validation checkpointing; an empty `train` or `val`
-    set is a `ValueError` naming it. Deterministic given the config seed.
+    set, or a `start_epoch` outside [0, `config.epochs`), is a `ValueError`
+    naming it. Deterministic given the config seed.
     `frontend` is the config that made the inputs; every checkpoint records
     it. A resume from `start_epoch` with the earlier run's `optimizer_state`
     (updated in place) keeps its loss curve and Adam state bitwise but loses
@@ -307,6 +308,9 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     for name, clips in (("train", train), ("val", val)):
         if len(clips) == 0:
             raise ValueError(f"the {name} set is empty")
+    if not (type(start_epoch) is int and 0 <= start_epoch < config.epochs):
+        raise ValueError(f"start_epoch must be an integer in [0, epochs) = "
+                         f"[0, {config.epochs}), got {start_epoch!r}")
     params = dict(model.named_parameters())
     state = optimizer_state or AdamState()
     history: list = []
@@ -374,18 +378,16 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FOCALCK1"
-_CKPT_VERSION = 6
-
-
-def _stored_dtype(arr) -> str:
-    return "<f8" if arr.dtype == np.float64 else "<f4"
+_CKPT_VERSION = 7
+_CKPT_DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Parameters, configs, history, Adam step and, after the first step,
-    the Adam moments, in the layout of the module docstring. Moments that
-    the layout cannot hold are refused: any at step 0, and after it any set
-    that is not one moment per parameter, of its shape and stored dtype."""
+    the Adam moments, in the layout of the module docstring. Arrays that the
+    layout cannot hold are refused, by name, before anything is written: a
+    parameter or moment that is not float32, any moment at step 0, and after
+    it any set that is not one moment per parameter, of its shape."""
     opt = ckpt.optimizer
     for kind, moments in (("adam_m", opt.m), ("adam_v", opt.v)):
         unpaired = moments.keys() ^ (ckpt.params.keys() if opt.t else set())
@@ -393,12 +395,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             raise CheckpointError(f"{kind} at optimizer_t {opt.t} differs from the parameters "
                                   f"in {sorted(unpaired)}")
         for name, moment in moments.items():
-            param = ckpt.params[name]
-            if (moment.shape, _stored_dtype(moment)) != (param.shape, _stored_dtype(param)):
-                raise CheckpointError(f"{kind} {name} has shape {moment.shape} and dtype "
-                                      f"{moment.dtype}, its parameter {param.shape} and {param.dtype}")
-    index = [[name, _stored_dtype(ckpt.params[name]), list(ckpt.params[name].shape)]
-             for name in sorted(ckpt.params)]
+            if moment.shape != ckpt.params[name].shape:
+                raise CheckpointError(f"{kind} {name} has shape {moment.shape}, its parameter "
+                                      f"{ckpt.params[name].shape}")
+    for kind, arrays in (("parameter", ckpt.params), ("adam_m", opt.m), ("adam_v", opt.v)):
+        for name, arr in arrays.items():
+            if arr.dtype != np.float32:
+                raise CheckpointError(f"{kind} {name} is {arr.dtype}, not float32")
+    index = [[name, list(ckpt.params[name].shape)] for name in sorted(ckpt.params)]
     head = json.dumps({
         "model_config": asdict(ckpt.model_config),
         "train_config": asdict(ckpt.train_config),
@@ -407,9 +411,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "optimizer_t": opt.t,
         "params": index,
     }, sort_keys=True).encode()
-    raws = (np.ascontiguousarray(named[name], dtype=dt)
+    raws = (np.ascontiguousarray(named[name], dtype=_CKPT_DTYPE)
             for named in ((ckpt.params, opt.m, opt.v) if opt.t else (ckpt.params,))
-            for name, dt, _ in index)
+            for name, _ in index)
     digest = hashlib.sha256()
     with open(path, "wb") as f:
         for part in (_CKPT_MAGIC + struct.pack("<IQ", _CKPT_VERSION, len(head)) + head, *raws):
@@ -423,9 +427,9 @@ def load_checkpoint(path) -> Checkpoint:
     the header is parsed or anything is built (a file shorter than the magic
     is reported as truncated). The header's `optimizer_t` must be an integer
     >= 0 and its `params` must list strictly increasing names, each with a
-    dtype the writer writes and a shape of whole counts, and the payload must
-    hold exactly those arrays, three times over if `optimizer_t` > 0. Any
-    failure raises `CheckpointError`."""
+    shape of whole counts, and the payload must hold exactly those float32
+    arrays, three times over if `optimizer_t` > 0. Any failure raises
+    `CheckpointError`."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
     magic_len = len(_CKPT_MAGIC)
@@ -448,16 +452,14 @@ def load_checkpoint(path) -> Checkpoint:
         index, t = header.pop("params"), header["optimizer_t"]
         if type(t) is not int or t < 0:
             raise ValueError(f"optimizer_t {t!r} is not an integer >= 0")
-        names = [name for name, _, _ in index]
+        names = [name for name, _ in index]
         for a, b in zip(names, names[1:]):
             if b <= a:
                 raise ValueError(f"parameter {b} follows {a}: names must be unique and sorted")
-        for name, dtype, shape in index:
-            if dtype not in ("<f4", "<f8"):
-                raise ValueError(f"parameter {name} has dtype {dtype!r}, not <f4 or <f8")
+        for name, shape in index:
             if not all(type(d) is int and d >= 0 for d in shape):
                 raise ValueError(f"parameter {name} has shape {shape}")
-        sizes = [int(np.prod(shape)) * np.dtype(dtype).itemsize for _, dtype, shape in index]
+        sizes = [int(np.prod(shape)) * _CKPT_DTYPE.itemsize for _, shape in index]
         copies = 3 if t else 1
         if len(payload) != copies * sum(sizes):
             raise ValueError(f"payload of {len(payload)} bytes, expected {copies} x "
@@ -465,9 +467,9 @@ def load_checkpoint(path) -> Checkpoint:
         groups, offset = [], 0
         for _ in range(copies):  # parameters, then adam_m and adam_v
             group = {}
-            for (name, dtype, shape), size in zip(index, sizes):
+            for (name, shape), size in zip(index, sizes):
                 group[name] = np.frombuffer(payload[offset : offset + size],
-                                            dtype=dtype).reshape(shape).copy()
+                                            dtype=_CKPT_DTYPE).reshape(shape).copy()
                 offset += size
             groups.append(group)
         params, m, v = groups if t else (groups[0], {}, {})

@@ -1,6 +1,6 @@
 """Finite-difference oracle for the tape's backward rules: central
 differences of a scalar closure, compared with the analytic gradients by a
-norm-ratio error."""
+norm-ratio error, and the float64 cast of a built module it runs on."""
 
 from __future__ import annotations
 
@@ -8,7 +8,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from focalaudio.tensor import Tensor, backward, no_grad
+from focalaudio.tensor import Module, Tensor, backward, no_grad
+
+
+def as_float64(module: Module) -> Module:
+    """`module` itself, every parameter cast to float64 in place: modules
+    are built in float32 only, and the oracles check in float64."""
+    for p in module.parameters():
+        p.data = p.data.astype(np.float64)
+    return module
 
 
 def numeric_grad(fn: Callable[[], Tensor], t: Tensor, step: float = 1e-5,

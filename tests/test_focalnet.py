@@ -23,13 +23,14 @@ from focalaudio.focalnet import (
 from focalaudio.tensor import NumericalError, Tensor, backward, no_grad
 from focalaudio.training import TrainConfig
 
-from gradcheck import gradient_check
+from gradcheck import as_float64, gradient_check
 
 RNG = np.random.default_rng(5)
 
 
 def make_layer(dim=4, dtype=np.float64, seed=0):
-    return FocalLayer(dim, np.random.default_rng(seed), dtype)
+    layer = FocalLayer(dim, np.random.default_rng(seed))
+    return as_float64(layer) if dtype == np.float64 else layer
 
 
 def set_identity(dense: Dense):
@@ -160,8 +161,8 @@ class TestFocalModulation:
 
 
 class TestFocalBlock:
-    def make_block(self, dim=4, dtype=np.float64):
-        return FocalBlock(dim, np.random.default_rng(0), dtype)
+    def make_block(self, dim=4):
+        return as_float64(FocalBlock(dim, np.random.default_rng(0)))
 
     def test_zeroed_residual_branches_identity(self):
         blk = self.make_block()
@@ -193,23 +194,23 @@ class TestFocalBlock:
 
 class TestPatchEmbed:
     def test_stem_shape_224(self):
-        pe = PatchEmbed(3, 128, 4, np.random.default_rng(0), np.float32)
+        pe = PatchEmbed(3, 128, 4, np.random.default_rng(0))
         with no_grad():
             y = pe(Tensor(RNG.standard_normal((1, 3, 224, 224)).astype(np.float32)))
         assert y.shape == (1, 128, 56, 56)
 
     def test_interstage_halving(self):
-        pe = PatchEmbed(8, 16, 2, np.random.default_rng(0), np.float64)
+        pe = as_float64(PatchEmbed(8, 16, 2, np.random.default_rng(0)))
         y = pe(Tensor(RNG.standard_normal((2, 8, 10, 14))))
         assert y.shape == (2, 16, 5, 7)
 
     def test_constant_input_constant_output(self):
-        pe = PatchEmbed(2, 5, 4, np.random.default_rng(0), np.float64)
+        pe = as_float64(PatchEmbed(2, 5, 4, np.random.default_rng(0)))
         y = pe(Tensor(np.full((1, 2, 8, 8), 0.7)))
         assert np.ptp(y.data, axis=(2, 3)).max() < 1e-12
 
     def test_pads_to_multiple(self):
-        pe = PatchEmbed(2, 5, 4, np.random.default_rng(0), np.float64)
+        pe = as_float64(PatchEmbed(2, 5, 4, np.random.default_rng(0)))
         y = pe(Tensor(RNG.standard_normal((1, 2, 9, 11))))
         assert y.shape == (1, 5, 3, 3)
 
@@ -313,7 +314,9 @@ class TestFocalNetForward:
     def test_plain_array_input_is_wrapped_with_its_dtype(self):
         xs = RNG.standard_normal((2, 3, 32, 32))
         for dtype in (np.float32, np.float64):
-            net = FocalNet(FocalNetConfig.tiny(), seed=1, dtype=dtype)
+            net = FocalNet(FocalNetConfig.tiny(), seed=1)
+            if dtype == np.float64:
+                as_float64(net)
             x = xs.astype(dtype)
             with no_grad():
                 from_array, _ = net.forward(x)

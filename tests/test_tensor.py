@@ -340,7 +340,8 @@ class TestLayernorm:
 
     def test_mean_zero_var_one(self):
         x = randt(2, 7, 4, 4, requires_grad=False)
-        y = layernorm(x, T.ones_param(7, dtype=np.float64), T.zeros_param(7, dtype=np.float64)).data
+        gamma, beta = Tensor(np.ones(7), requires_grad=True), Tensor(np.zeros(7), requires_grad=True)
+        y = layernorm(x, gamma, beta).data
         np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-5)
         # (x - mean) / sqrt(var + eps) has variance var / (var + eps), not 1
         var = x.data.var(axis=1)

@@ -20,7 +20,7 @@ from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import FocalNet, FocalNetConfig
 from focalaudio.tensor import NumericalError, Tensor, backward, no_grad
 
-from gradcheck import gradient_check
+from gradcheck import as_float64, gradient_check
 
 # fit log of the tiny model below, recorded before the kernel gradient was
 # reduced per tap; float32 sums in another order move the loss by ~1e-7
@@ -106,6 +106,23 @@ class TestResume:
         assert len(first.log_lines) == len(resumed.log_lines) == 2
         assert steady(first.log_lines + resumed.log_lines) == steady(one_shot.log_lines)
         assert resumed.last.model_id() == one_shot.last.model_id()
+
+    # past the run `fit` would return an empty history with no step taken,
+    # and below 0 numpy would raise an error that names nothing
+    @pytest.mark.parametrize("start_epoch", [5, 2, -1])
+    def test_start_epoch_outside_the_run_rejected_before_the_first_step(self, start_epoch):
+        train, val = tiny_fit_data()
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+        initial = {k: p.data.copy() for k, p in net.named_parameters()}
+        state = training.AdamState()
+        config = training.TrainConfig.desk(epochs=2, batch_size=4, seed=0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"start_epoch must be an integer in [0, epochs) = [0, 2), got {start_epoch}")):
+            training.fit(net, train, val, config, FrontendConfig(input_size=32),
+                         start_epoch=start_epoch, optimizer_state=state)
+        assert state == training.AdamState()
+        for name, p in net.named_parameters():
+            np.testing.assert_array_equal(p.data, initial[name], err_msg=name)
 
 
 class TestAmSoftmaxLoss:
@@ -230,8 +247,8 @@ class TestGradientSharing:
 
 
 # SHA-256 and model_id of the file `pinned_checkpoint` writes; the SHA-256
-# is of the version-6 file, the model_id of the parameters alone
-PINNED_CKPT_SHA256 = "9ef5c22c5abb5b6d1254f1a342f2d7a481a4ccfb9641efebcc6200f95d1889f4"
+# is of the version-7 file, the model_id of the parameters alone
+PINNED_CKPT_SHA256 = "29cd02ec07f69fb1fdb29c212a856db204d374064eae6a52e29e6018fe40df58"
 PINNED_MODEL_ID = "71fd7a8999a0"
 
 
@@ -278,18 +295,17 @@ def rewrite_header(blob: bytes, edit) -> bytes:
     return rewrite_trailer(blob[:12] + struct.pack("<Q", len(head)) + head + blob[20 + hlen :])
 
 
-def with_entry(h: dict, name: str, **changes) -> dict:
-    """Header `h` with the `params` entry of `name` given another dtype or shape."""
-    return {**h, "params": [[n, changes.get("dtype", dt), changes.get("shape", shape)]
-                            if n == name else [n, dt, shape] for n, dt, shape in h["params"]]}
+def with_shape(h: dict, name: str, shape: list) -> dict:
+    """Header `h` with the `params` entry of `name` given another shape."""
+    return {**h, "params": [[n, shape if n == name else s] for n, s in h["params"]]}
 
 
 def without_last_array(blob: bytes) -> bytes:
     """The file with the payload's last array (the last parameter's second
     moment) cut off, re-sealed."""
     (hlen,) = struct.unpack("<Q", blob[12:20])
-    _, dtype, shape = json.loads(blob[20 : 20 + hlen])["params"][-1]
-    cut = math.prod(shape) * np.dtype(dtype).itemsize
+    _, shape = json.loads(blob[20 : 20 + hlen])["params"][-1]
+    cut = math.prod(shape) * np.dtype(np.float32).itemsize
     return rewrite_trailer(blob[: -32 - cut] + blob[-32:])
 
 
@@ -338,7 +354,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("corrupt, check", [
         (lambda b: b[:100] + bytes([b[100] ^ 0x01]) + b[101:], "checksum mismatch"),
         (lambda b: b"FOCALCK0" + b[8:], "magic mismatch"),
-        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 5) + b[12:]), "unsupported version 5, expected 6"),
+        (lambda b: rewrite_trailer(b[:8] + struct.pack("<I", 6) + b[12:]), "unsupported version 6, expected 7"),
         (lambda b: b[: len(b) // 2], "checksum mismatch"),
         (lambda b: b[:40], "truncated"),
         (lambda b: b[:6], "truncated"),
@@ -385,11 +401,11 @@ class TestCheckpoint:
         (lambda b: rewrite_header(b, lambda h: {**h, "params": [h["params"][1], h["params"][0],
                                                                 *h["params"][2:]]}),
          "malformed header: ValueError.*parameter \\S+ follows \\S+: names must be unique and sorted"),
-        # a record of 8 bytes per element over a payload written at 4
-        (lambda b: rewrite_header(b, lambda h: with_entry(h, "head.weight", dtype="<f8")),
+        # a record of twice the elements the payload holds for it
+        (lambda b: rewrite_header(b, lambda h: with_shape(h, "head.weight", [4, 32])),
          "malformed header: ValueError.*payload of \\d+ bytes, expected 3 x \\d+ for 43 "
          "parameters at optimizer_t 4"),
-        (lambda b: rewrite_header(b, lambda h: with_entry(h, "head.weight", shape=[-1, 16])),
+        (lambda b: rewrite_header(b, lambda h: with_shape(h, "head.weight", [-1, 16])),
          "malformed header: ValueError.*parameter head.weight has shape \\[-1, 16\\]"),
         (lambda b: rewrite_header(b, lambda h: {**h, "params": h["params"][:1] + h["params"]}),
          "malformed header: ValueError.*parameter (\\S+) follows \\1: names must be unique"),
@@ -403,10 +419,10 @@ class TestCheckpoint:
         (lambda b: rewrite_header(b, lambda h: {**h, "optimizer_t": 0}),
          "malformed header: ValueError.*payload of \\d+ bytes, expected 1 x \\d+ for 43 "
          "parameters at optimizer_t 0"),
-        # raw bytes read as integers would build weights around 1e9 with an unchanged model_id
+        # an entry of the version-6 layout, [name, dtype, shape]: every array is float32
         (lambda b: rewrite_header(b, lambda h: {**h, "params": [[n, "<i4", shape]
-                                                                for n, _, shape in h["params"]]}),
-         "malformed header: ValueError.*parameter \\S+ has dtype '<i4', not <f4 or <f8"),
+                                                                for n, shape in h["params"]]}),
+         "malformed header: ValueError.*too many values to unpack"),
     ], ids=["flipped_byte", "wrong_magic", "unsupported_version", "truncated_half",
             "truncated_40", "truncated_below_magic", "header_without_optimizer_t",
             "header_with_unknown_config_field", "header_with_invalid_config_value",
@@ -444,16 +460,13 @@ class TestCheckpoint:
             ckpt.build_model()
 
     # a (1,) moment would broadcast silently in `optimizer_step` on resume,
-    # and a float64 moment would be stored at its parameter's float32
+    # and the file holds float32 arrays only
     @pytest.mark.parametrize("kind, name, moment, check", [
         ("v", "head.weight", np.ones(1, dtype=np.float32),
-         r"adam_v head.weight has shape \(1,\) and dtype float32, its parameter \(4, 16\) "
-         r"and float32"),
+         r"adam_v head.weight has shape \(1,\), its parameter \(4, 16\)"),
         ("m", "head.scale", np.ones(1, dtype=np.float32),
          re.escape("adam_m at optimizer_t 4 differs from the parameters in ['head.scale']")),
-        ("m", "head.weight", np.ones((4, 16)),
-         r"adam_m head.weight has shape \(4, 16\) and dtype float64, its parameter \(4, 16\) "
-         r"and float32"),
+        ("m", "head.weight", np.ones((4, 16)), "adam_m head.weight is float64, not float32"),
     ], ids=["reshaped", "without_parameter", "retyped"])
     def test_moment_that_fits_no_parameter_rejected(self, tmp_path, kind, name, moment, check):
         ckpt = pinned_checkpoint()
@@ -461,6 +474,20 @@ class TestCheckpoint:
         with pytest.raises(training.CheckpointError, match=check):
             training.save_checkpoint(ckpt, tmp_path / "moment.ckpt")
         assert not (tmp_path / "moment.ckpt").exists()
+
+    # a float64 file would load, and `build_model` would narrow it to a
+    # float32 model that its model_id does not name
+    def test_model_id_names_the_model_it_builds(self, tmp_path):
+        ckpt = pinned_checkpoint()
+        built = training._snapshot(ckpt.build_model(), ckpt.optimizer, ckpt.train_config,
+                                   ckpt.frontend, ckpt.history)
+        assert built.model_id() == ckpt.model_id() == PINNED_MODEL_ID
+        wide = training._snapshot(as_float64(FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)),
+                                  training.AdamState(), ckpt.train_config, ckpt.frontend, [])
+        with pytest.raises(training.CheckpointError,
+                           match="parameter stem.proj.weight is float64, not float32"):
+            training.save_checkpoint(wide, tmp_path / "wide.ckpt")
+        assert not (tmp_path / "wide.ckpt").exists()
 
     # on resume, the first `optimizer_step` would raise a bare KeyError
     @pytest.mark.parametrize("kind", ["m", "v"])
