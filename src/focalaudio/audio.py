@@ -203,12 +203,8 @@ def resample(w: Waveform) -> Waveform:
     comes back as an equal copy."""
     g = math.gcd(SAMPLE_RATE, w.sample_rate)
     out = resample_poly(w.samples.astype(np.float64), SAMPLE_RATE // g, w.sample_rate // g)
-    want = round(w.samples.size * SAMPLE_RATE / w.sample_rate)
-    if out.size > want:
-        out = out[:want]
-    elif out.size < want:
-        out = np.pad(out, (0, want - out.size))
-    return Waveform(out, SAMPLE_RATE)
+    # resample_poly returns ceil(len * up / down) samples, never fewer than wanted
+    return Waveform(out[: round(w.samples.size * SAMPLE_RATE / w.sample_rate)], SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,6 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
     mod 186, 184 samples past the last frame's centre against the window's
     183.
     """
-    num_samples = spec.num_samples
     mag = np.exp(spec.log_mag.astype(np.float64)) - LOG_EPS
     np.clip(mag, 0.0, None, out=mag)
     z = mag * np.exp(1j * spec.phase.astype(np.float64))
@@ -258,11 +253,8 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
     for i in range(frames.shape[0]):
         y[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += frames[i] * WINDOW
         env[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += wsq
-    reached = env[half : half + num_samples] >= 1e-10
-    end = num_samples - int(np.argmax(reached[::-1]))  # one past the last reached sample
-    y /= np.maximum(env, 1e-12)
-    y[half + end :] = 0.0
-    return Waveform(y[half : half + num_samples], SAMPLE_RATE)
+    y /= np.maximum(env, 1e-12)  # where no window reaches, y and env are both 0
+    return Waveform(y[half : half + spec.num_samples], SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +310,7 @@ def to_model_input(s: Spectrogram, out: int) -> np.ndarray:
 
 def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarray]:
     """Full clip-to-input path: resample, STFT, pack."""
-    if w.sample_rate != SAMPLE_RATE:
-        w = resample(w)
-    spec = stft(w)
+    spec = stft(resample(w))
     return spec, to_model_input(spec, out=cfg.input_size)
 
 

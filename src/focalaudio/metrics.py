@@ -67,7 +67,6 @@ class SweepResult:
     """(q, FID-I, FA) triples for one model on one clip set."""
 
     entries: list  # of (q, fid_i, fa)
-    n_clips: int
 
 
 def accuracy(predictions, labels) -> float:
@@ -125,4 +124,4 @@ def quantile_sweep(model, clips, q_list, input_size: int) -> SweepResult:
     ev = evaluate(model, clips, q_list, input_size)
     entries = [(q, float(f), float(d)) for q, f, d in zip(ev.qs, ev.agrees.mean(axis=0),
                                                          ev.fa.mean(axis=0))]
-    return SweepResult(entries=entries, n_clips=len(clips))
+    return SweepResult(entries=entries)

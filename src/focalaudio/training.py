@@ -59,10 +59,13 @@ class CheckpointError(ValueError):
     array."""
 
 
-class TrainingDiverged(RuntimeError):
-    """Loss left the finite domain; carries the last finite checkpoint."""
+class TrainingDiverged(NumericalError):
+    """A train step met a numerical error: non-finite activations in a block,
+    a zero-norm feature row in the loss or a non-finite gradient. The message
+    names the epoch, the Adam step and where, and `checkpoint` holds the state
+    after the last finite step."""
 
-    def __init__(self, message: str, checkpoint: "Checkpoint | None" = None):
+    def __init__(self, message: str, checkpoint: "Checkpoint"):
         super().__init__(message)
         self.checkpoint = checkpoint
 
@@ -304,6 +307,10 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     `grad_norm`, which are deterministic, plus `step_s` (wall time of
     forward, backward and optimizer step, augmentation excluded) and
     `clips_per_s` (batch clips over `step_s`), which are not.
+
+    Returns a `FitResult`, or raises `TrainingDiverged` when a step meets a
+    numerical error, carrying the checkpoint of the last finite step; the
+    model is left at that state. A bad label is the loss's `ValueError`.
     """
     for name, clips in (("train", train), ("val", val)):
         if len(clips) == 0:
@@ -335,19 +342,20 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 yb = train.labels[idx]
                 t0 = time.perf_counter()
                 model.zero_grad()
-                feats, _ = model.forward_features(xb)
-                loss = am_softmax_loss(feats, model.head.weight, yb, AM_MARGIN, LOGIT_SCALE,
-                                       clip_ids=[train.clip_ids[i] for i in idx])
-                loss_val = float(loss.data)
-                if not np.isfinite(loss_val):
-                    ckpt = _snapshot(model, state, config, frontend, history)
+                try:
+                    feats, _ = model.forward_features(xb)
+                    loss = am_softmax_loss(feats, model.head.weight, yb, AM_MARGIN, LOGIT_SCALE,
+                                           clip_ids=[train.clip_ids[i] for i in idx])
+                    backward(loss)
+                    lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
+                    gnorm = optimizer_step(params, state, lr)
+                except NumericalError as e:
                     raise TrainingDiverged(
-                        f"loss diverged at epoch {epoch} step {state.t}", checkpoint=ckpt
-                    )
-                backward(loss)
-                lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
-                gnorm = optimizer_step(params, state, lr)
+                        f"training diverged at epoch {epoch} step {state.t}: {e}",
+                        checkpoint=_snapshot(model, state, config, frontend, history),
+                    ) from e
                 step_s = time.perf_counter() - t0
+                loss_val = float(loss.data)
                 losses.append(loss_val)
                 line = {"step": state.t - 1, "lr": lr, "loss": loss_val, "grad_norm": gnorm,
                         "step_s": step_s, "clips_per_s": len(idx) / step_s}
@@ -367,10 +375,8 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
     finally:
         if log_file is not None:
             log_file.close()
-    last = _snapshot(model, state, config, frontend, history)
-    if best is None:
-        best = last
-    return FitResult(best=best, last=last, history=history, log_lines=log_lines)
+    return FitResult(best=best, last=_snapshot(model, state, config, frontend, history),
+                     history=history, log_lines=log_lines)
 
 
 # ---------------------------------------------------------------------------

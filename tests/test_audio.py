@@ -161,6 +161,10 @@ class TestResample:
         out = resample(w)
         assert out.samples.size == 80000
         assert out.sample_rate == 16000
+        # resample_poly returns ceil(n * up / down) samples; these round below it
+        for rate, n, want in [(22050, 1001, 726), (32000, 5, 2), (48000, 7, 2)]:
+            out = resample(Waveform(np.ones(n, np.float32), rate))
+            assert (out.samples.size, out.sample_rate) == (want, 16000), rate
 
     def test_identity_when_equal(self):
         w = sine(440, 0.5, 16000)

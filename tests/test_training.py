@@ -209,6 +209,29 @@ class TestTrainingDiverged:
         for name, p in net.named_parameters():
             np.testing.assert_array_equal(ckpt.params[name], p.data, err_msg=name)
 
+    def test_overflowing_activations_carry_the_state_after_the_last_finite_step(self):
+        train, val = tiny_fit_data()
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+        config = training.TrainConfig.desk(epochs=3, batch_size=4, seed=0, lr_min=5e5, lr_max=1e6)
+        # the overflow is reported by the block's finiteness check, not by numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(training.TrainingDiverged,
+                               match="epoch 0 step 1: .*stage 0 block 0") as err:
+                training.fit(net, train, val, config, FrontendConfig(input_size=32),
+                             optimizer_state=training.AdamState())
+        ckpt = err.value.checkpoint
+        assert ckpt.optimizer.t == 1
+        for name, p in net.named_parameters():
+            np.testing.assert_array_equal(ckpt.params[name], p.data, err_msg=name)
+
+    def test_bad_label_is_the_loss_error_not_divergence(self):
+        train, val = tiny_fit_data()
+        train.labels[2] = 7
+        net = FocalNet(FocalNetConfig.tiny(num_classes=4), seed=0)
+        config = training.TrainConfig.desk(epochs=1, batch_size=6, seed=0)
+        with pytest.raises(ValueError, match="label 7 of clip c2 is outside"):
+            training.fit(net, train, val, config, FrontendConfig(input_size=32))
+
 
 class TestGradientSharing:
     @staticmethod
