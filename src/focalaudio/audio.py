@@ -82,7 +82,9 @@ class Waveform:
 @dataclass(frozen=True)
 class FrontendConfig:
     """The frontend setting that varies, checkpointable: the model input's
-    side. The STFT geometry is the module constants."""
+    side, which must be a multiple of the model's total stride (8 for the
+    tiny and desk models, 32 for the default). The STFT geometry is the
+    module constants."""
 
     input_size: int = 224
 

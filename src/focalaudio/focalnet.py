@@ -184,8 +184,8 @@ class FocalBlock(Module):
 class PatchEmbed(Module):
     """Non-overlapping patch projection (convolution with kernel = stride = patch).
 
-    Inputs not divisible by the patch size are zero-padded at the right and
-    bottom edges to the next multiple.
+    The input's H and W must be multiples of the patch size; `FocalNet`
+    checks this once, for every stride, at its entry.
     """
 
     def __init__(self, in_dim: int, out_dim: int, patch: int, rng):
@@ -195,11 +195,7 @@ class PatchEmbed(Module):
     def forward(self, x: Tensor) -> Tensor:
         p = self.patch
         b, c, h, w = x.shape
-        pad_h = (-h) % p
-        pad_w = (-w) % p
-        if pad_h or pad_w:
-            x = T.pad_bottom_right(x, pad_h, pad_w)
-        hp, wp = (h + pad_h) // p, (w + pad_w) // p
+        hp, wp = h // p, w // p
         x = T.reshape(x, (b, c, hp, p, wp, p))
         x = T.transpose(x, (0, 2, 4, 1, 3, 5))
         x = T.reshape(x, (b, hp, wp, c * p * p))
@@ -246,9 +242,10 @@ class FocalNet(Module):
 
         The modulator is the last block's [B, C, h, w] activation array
         itself, not a copy: callers read it and never write to it, as with
-        `.grad`. Each patch embedding pads its input up to a multiple of its
-        stride, so for the total stride s, h = ceil(H / s) and w = ceil(W / s):
-        every cell covers some of the unpadded input.
+        `.grad`. H and W must be multiples of the total stride s, the stem's
+        `PATCH_SIZE` times 2 per later stage (8 for two stages, 32 for four),
+        or a `ValueError` names the side; the modulator's cells then tile the
+        input exactly, h = H / s and w = W / s.
 
         `x` is a plain array, wrapped here once with its dtype kept, or a
         `Tensor`. A single input [3, H, W] is a batch of one (through
@@ -259,6 +256,11 @@ class FocalNet(Module):
             x = T.reshape(x, (1, *x.shape))
         if x.ndim != 4 or x.shape[1] != self.IN_CHANNELS:
             raise ValueError(f"expected input [B, 3, H, W] or [3, H, W], got {x.shape}")
+        stride = PATCH_SIZE * 2 ** (len(self.stages) - 1)
+        for name, side in zip(("height", "width"), x.shape[2:]):
+            if side % stride:
+                raise ValueError(
+                    f"input {name} {side} is not a multiple of the total stride {stride}")
         x = self.stem(x)
         check_finite(x.data, "stem")
         for i, stage in enumerate(self.stages):

@@ -4,8 +4,8 @@ A small numpy-backed engine providing exactly the operators the focal
 modulation classifier and its loss need: linear maps, depth-wise 2-d
 convolution, GeLU, layer normalization, global average pooling, softmax and
 the training loss as one fused softmax cross-entropy, plus the ops between
-them (add, mul, div, sqrt, sum, indexing, reshaping, transposing,
-broadcasting and padding), each with a hand-written backward rule.
+them (add, mul, div, sqrt, sum, indexing, reshaping, transposing and
+broadcasting), each with a hand-written backward rule.
 Gradients are recorded on a tape of nodes ordered by creation, so `backward`
 is a single reverse sweep. Around the tape sit the parameter containers.
 Signal processing without gradients (the frontend, the masks) works on
@@ -335,21 +335,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
             _accum(a, _unbroadcast(g, a.shape))
 
     return _attach(out, (a,), "broadcast", bw)
-
-
-def pad_bottom_right(a: Tensor, pad_h: int, pad_w: int) -> Tensor:
-    """Zero-pad the last two axes at the bottom/right edge only."""
-    if pad_h == 0 and pad_w == 0:
-        return a
-    widths = [(0, 0)] * (a.ndim - 2) + [(0, pad_h), (0, pad_w)]
-    out = Tensor(np.pad(a.data, widths))
-    h, w = a.shape[-2], a.shape[-1]
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g[..., :h, :w])
-
-    return _attach(out, (a,), "pad", bw)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,9 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
 
     Returns a `FitResult`, or raises `TrainingDiverged` when a step meets a
     numerical error, carrying the checkpoint of the last finite step; the
-    model is left at that state. A bad label is the loss's `ValueError`.
+    model is left at that state. The step runs with numpy's overflow and
+    invalid-value warnings off, so this holds under any warning filter.
+    A bad label is the loss's `ValueError`.
     """
     for name, clips in (("train", train), ("val", val)):
         if len(clips) == 0:
@@ -343,12 +345,13 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 t0 = time.perf_counter()
                 model.zero_grad()
                 try:
-                    feats, _ = model.forward_features(xb)
-                    loss = am_softmax_loss(feats, model.head.weight, yb, AM_MARGIN, LOGIT_SCALE,
-                                           clip_ids=[train.clip_ids[i] for i in idx])
-                    backward(loss)
-                    lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
-                    gnorm = optimizer_step(params, state, lr)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        feats, _ = model.forward_features(xb)
+                        loss = am_softmax_loss(feats, model.head.weight, yb, AM_MARGIN, LOGIT_SCALE,
+                                               clip_ids=[train.clip_ids[i] for i in idx])
+                        backward(loss)
+                        lr = cyclic_lr(state.t, config.lr_min, config.lr_max, config.step_size)
+                        gnorm = optimizer_step(params, state, lr)
                 except NumericalError as e:
                     raise TrainingDiverged(
                         f"training diverged at epoch {epoch} step {state.t}: {e}",

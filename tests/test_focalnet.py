@@ -209,11 +209,6 @@ class TestPatchEmbed:
         y = pe(Tensor(np.full((1, 2, 8, 8), 0.7)))
         assert np.ptp(y.data, axis=(2, 3)).max() < 1e-12
 
-    def test_pads_to_multiple(self):
-        pe = as_float64(PatchEmbed(2, 5, 4, np.random.default_rng(0)))
-        y = pe(Tensor(RNG.standard_normal((1, 2, 9, 11))))
-        assert y.shape == (1, 5, 3, 3)
-
 
 class TestFocalNetForward:
     def test_tiny_forward_backward_under_one_second(self):
@@ -261,20 +256,28 @@ class TestFocalNetForward:
         # stride 4 then 2: 32 -> 8 -> 4, final dim 16
         assert modulator.shape == (1, 16, 4, 4)
 
-    def test_padding_provenance(self):
-        net = FocalNet(FocalNetConfig.tiny(), seed=0)
-        with no_grad():
-            _, modulator = net.forward(Tensor(RNG.standard_normal((3, 33, 33)).astype(np.float32)))
-        assert modulator.shape[-2:] == (5, 5)
+    # the total stride depends on the stage count alone: the default's four
+    # stages and depths at narrow channels stand in for its 80M weights
+    @pytest.mark.parametrize("config, hw, side, stride", [
+        (FocalNetConfig.tiny(), (33, 33), "height 33", 8),
+        (FocalNetConfig.tiny(), (32, 36), "width 36", 8),
+        (FocalNetConfig(FocalNetConfig.default().stage_depths, (4, 4, 4, 4), 50), (96, 100),
+         "width 100", 32),
+    ], ids=["tiny-33x33", "tiny-32x36", "default-96x100"])
+    def test_refuses_a_side_the_total_stride_does_not_divide(self, config, hw, side, stride):
+        net = FocalNet(config, seed=0)
+        with pytest.raises(ValueError,
+                           match=f"input {side} is not a multiple of the total stride {stride}$"):
+            net.forward(np.zeros((1, 3, *hw), dtype=np.float32))
 
-    @pytest.mark.parametrize("hw", [(9, 9), (17, 33), (31, 50), (45, 23)])
+    @pytest.mark.parametrize("hw", [(8, 8), (16, 40), (40, 24), (32, 56)])
     def test_modulator_cells_cover_the_unpadded_input(self, hw):
-        # each patch embedding pads up to its stride, and the nested ceilings
-        # compose: the total stride 8 gives ceil(h / 8) x ceil(w / 8) cells
+        # the total stride 8 divides both sides, so the cells tile the input
+        # exactly: H / 8 x W / 8 of them
         net = FocalNet(FocalNetConfig.tiny(), seed=0)
         with no_grad():
             _, modulator = net.forward(RNG.standard_normal((1, 3, *hw)).astype(np.float32))
-        assert modulator.shape[-2:] == (-(-hw[0] // 8), -(-hw[1] // 8))
+        assert modulator.shape[-2:] == (hw[0] // 8, hw[1] // 8)
 
     def test_forward_deterministic_bitwise(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=3)
