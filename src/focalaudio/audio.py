@@ -49,9 +49,10 @@ WIN_LENGTH = 368  # 23 ms
 HOP_LENGTH = 186
 LOG_EPS = 1e-10
 
+_SUPPORT = (N_FFT - WIN_LENGTH) // 2  # where the Hann window starts in WINDOW
 # the periodic Hann window, zero-padded symmetrically to N_FFT points
 WINDOW = np.pad(0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(WIN_LENGTH) / WIN_LENGTH)),
-                (N_FFT - WIN_LENGTH) // 2)
+                _SUPPORT)
 WINDOW.flags.writeable = False
 
 
@@ -245,18 +246,26 @@ def istft_reconstruct(spec: Spectrogram) -> Waveform:
     """
     mag = np.exp(spec.log_mag.astype(np.float64)) - LOG_EPS
     np.clip(mag, 0.0, None, out=mag)
-    z = mag * np.exp(1j * spec.phase.astype(np.float64))
+    # the phase is stored as float32, so float32 trig loses nothing more
+    z = np.empty(mag.shape, np.complex128)
+    np.multiply(mag, np.cos(spec.phase), out=z.real)
+    np.multiply(mag, np.sin(spec.phase), out=z.imag)
     frames = np.fft.irfft(z.T, n=N_FFT, axis=1)
-    half = N_FFT // 2
-    total = (frames.shape[0] - 1) * HOP_LENGTH + N_FFT
-    wsq = WINDOW * WINDOW
-    y = np.zeros(total)
-    env = np.zeros(total)
-    for i in range(frames.shape[0]):
-        y[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += frames[i] * WINDOW
-        env[i * HOP_LENGTH : i * HOP_LENGTH + N_FFT] += wsq
+    # Each frame's window support, WIN_LENGTH <= 2 * HOP_LENGTH samples from
+    # _SUPPORT, is two hop-sized blocks: block j of frame i lands on output
+    # block i + j, counted from sample _SUPPORT of the padded signal.
+    n = frames.shape[0]
+    win = WINDOW[_SUPPORT : _SUPPORT + 2 * HOP_LENGTH].reshape(2, HOP_LENGTH)
+    seg = frames[:, _SUPPORT : _SUPPORT + 2 * HOP_LENGTH].reshape(n, 2, HOP_LENGTH) * win
+    y = np.zeros((n + 1, HOP_LENGTH))
+    env = np.zeros((n + 1, HOP_LENGTH))
+    y[:n] = seg[:, 0]
+    y[1:] += seg[:, 1]
+    env[:n] = win[0] * win[0]
+    env[1:] += win[1] * win[1]
     y /= np.maximum(env, 1e-12)  # where no window reaches, y and env are both 0
-    return Waveform(y[half : half + spec.num_samples], SAMPLE_RATE)
+    start = N_FFT // 2 - _SUPPORT
+    return Waveform(y.reshape(-1)[start : start + spec.num_samples], SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,16 @@ Conventions fixed here:
 * GeLU is the erf form, not the tanh approximation. float64 (the gradient
   oracles) uses scipy's erf. float32 uses the single-precision rational erf
   of Eigen and XLA, evaluated in blocks of the input's memory: its normal
-  CDF is within 3e-7 of the float64 one and GeLU within 3e-7 * max(1, |x|),
+  CDF is within 3e-7 of the float64 one and GeLU within 3e-7 * max(1, |x|).
+  The backward runs in the same blocks in either dtype,
 * depth-wise convolution is a stride-1 cross-correlation with zero
   same-padding. The forward copies the taps of the channel-major padded
-  input once into tap-major columns and contracts them with the kernel in
-  one batched product, so its output is stored [C, B, H, W]; the input
-  gradient is the same routine on the incoming gradient with the flipped
-  kernel, and the kernel gradient is reduced one contiguous tap slice at a
-  time,
+  input into tap-major columns one channel group of at most
+  `_DW_GROUP_BYTES` (1 MB) at a time, and contracts each group with its
+  kernels in one batched product, so its output is stored [C, B, H, W];
+  the input gradient is the same routine on the incoming gradient with the
+  flipped kernel, and the kernel gradient is reduced one contiguous tap
+  slice at a time,
 * layer normalization adds `_LN_EPS` (1e-5) to the variance, in the
   input's dtype,
 * parameters are initialized from a normal distribution with standard
@@ -68,7 +70,8 @@ def _fold(coeffs: Sequence[float], scale: float) -> tuple[np.float32, ...]:
 _PHI_P = _fold(_ERF_P, 0.5 * _INV_SQRT2)
 _PHI_Q = _fold(_ERF_Q, 1.0)
 _PHI_CLAMP = np.float32(4.0 / _INV_SQRT2)
-_GELU_BLOCK = 65536  # float32 elements: 256 KB per scratch buffer
+_GELU_BLOCK = 65536  # elements: 256 KB per float32 scratch buffer
+_DW_GROUP_BYTES = 1 << 20  # depth-wise columns per channel group
 
 _seq_counter = itertools.count()
 _grad_enabled = True
@@ -370,6 +373,17 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     return _attach(out, parents, "linear", bw)
 
 
+def _memory_order(x: np.ndarray) -> list[int]:
+    """x's axes from the largest stride to the smallest: ``x.transpose`` of
+    them, flattened, runs over x's memory without a copy if x is dense."""
+    return sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+
+
+def _unflatten(flat: np.ndarray, shape: tuple[int, ...], perm: list[int]) -> np.ndarray:
+    """The inverse of ``a.transpose(perm).reshape(-1)`` for an a of `shape`."""
+    return flat.reshape([shape[a] for a in perm]).transpose(np.argsort(perm))
+
+
 def _horner(z: np.ndarray, coeffs: Sequence[np.float32], out: np.ndarray) -> None:
     """out = the polynomial with `coeffs` (highest power first) at z."""
     np.multiply(z, coeffs[0], out=out)
@@ -388,7 +402,7 @@ def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Phi is clipped to [0, 1]: the rational form dips to -1.2e-7 in the far
     left tail, which would give gelu(-20) > 0.
     """
-    perm = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+    perm = _memory_order(x)
     flat_x = x.transpose(perm).reshape(-1)
     flat_y = np.empty_like(flat_x)
     flat_cdf = np.empty_like(flat_x)
@@ -407,9 +421,34 @@ def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.add(cdf, np.float32(0.5), out=cdf)
         np.clip(cdf, np.float32(0.0), np.float32(1.0), out=cdf)
         np.multiply(xb, cdf, out=flat_y[i : i + _GELU_BLOCK])
-    inv = np.argsort(perm)
-    shape = [x.shape[a] for a in perm]
-    return flat_y.reshape(shape).transpose(inv), flat_cdf.reshape(shape).transpose(inv)
+    return _unflatten(flat_y, x.shape, perm), _unflatten(flat_cdf, x.shape, perm)
+
+
+def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GeLU's backward g * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)), stored in
+    x's memory order.
+
+    The work runs over that order in blocks of `_GELU_BLOCK` elements through
+    one scratch buffer, with the per-element op order of the full-array
+    expression, so the result is bitwise the same. cdf and g are read in x's
+    memory order: one copy of each whose layout differs.
+    """
+    perm = _memory_order(x)
+    flat_x, flat_cdf, flat_g = (a.transpose(perm).reshape(-1) for a in (x, cdf, g))
+    flat_out = np.empty_like(flat_x)
+    s_buf = np.empty(min(flat_x.size, _GELU_BLOCK), x.dtype)
+    inv_sqrt2pi = x.dtype.type(_INV_SQRT2PI)
+    for i in range(0, flat_x.size, _GELU_BLOCK):
+        xb = flat_x[i : i + _GELU_BLOCK]
+        s = s_buf[: xb.size]
+        np.multiply(xb, -0.5, out=s)
+        np.multiply(s, xb, out=s)
+        np.exp(s, out=s)
+        np.multiply(s, inv_sqrt2pi, out=s)
+        np.multiply(xb, s, out=s)
+        np.add(flat_cdf[i : i + _GELU_BLOCK], s, out=s)
+        np.multiply(flat_g[i : i + _GELU_BLOCK], s, out=flat_out[i : i + _GELU_BLOCK])
+    return _unflatten(flat_out, x.shape, perm)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -425,8 +464,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def bw(g):
         if x.requires_grad:
-            pdf = np.exp(-0.5 * x.data * x.data) * x.dtype.type(_INV_SQRT2PI)
-            _accum(x, g * (cdf + x.data * pdf))
+            _accum(x, _gelu_grad(x.data, cdf, g))
 
     return _attach(out, (x,), "gelu", bw)
 
@@ -448,19 +486,31 @@ def _padded_taps(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 def _correlate(flat: np.ndarray, k: np.ndarray, H: int, W: int) -> np.ndarray:
     """Same-size depth-wise cross-correlation of `_padded_taps` output with
-    k [C, kh, kw]: the taps are copied once into tap-major columns
-    [C, kh*kw, B*H*Wp] and contracted with k in one batched product.
-    Returns [B, C, H, W] stored channel-major, [C, B, H, W]."""
+    k [C, kh, kw], one channel group at a time: the group's taps are copied
+    in one go from a strided view into tap-major columns
+    [group, kh*kw, B*H*Wp] and contracted with its kernels in one batched
+    product. A group holds as many channels as fit in `_DW_GROUP_BYTES` of
+    columns, at least one, and every group reuses one columns buffer. Each
+    channel's product is the same whatever the group size. Returns
+    [B, C, H, W] stored channel-major, [C, B, H, W]."""
     C, B, _ = flat.shape
     kh, kw = k.shape[1], k.shape[2]
     wp = W + kw - 1
     n = H * wp
-    cols = np.empty((C, kh * kw, B, n), dtype=flat.dtype)
-    for t, (u, v) in enumerate(itertools.product(range(kh), range(kw))):
-        off = u * wp + v
-        cols[:, t] = flat[:, :, off : off + n]
-    y = k.reshape(C, 1, kh * kw) @ cols.reshape(C, kh * kw, B * n)
-    y = np.ascontiguousarray(y.reshape(C, B, H, wp)[..., :W])
+    # taps[c, u, v] is the run of tap (u, v), flat[c, :, u * wp + v :][:, :n]
+    sc, sb, s = flat.strides
+    taps = np.lib.stride_tricks.as_strided(flat, (C, kh, kw, B, n), (sc, wp * s, s, sb, s),
+                                           writeable=False)
+    group = max(1, _DW_GROUP_BYTES // (kh * kw * B * n * flat.itemsize))
+    buf = np.empty((min(group, C), kh, kw, B, n), dtype=flat.dtype)
+    y = np.empty((C, B, H, W), dtype=flat.dtype)
+    kt = k.reshape(C, 1, kh * kw)
+    for c0 in range(0, C, group):
+        c1 = min(c0 + group, C)
+        cols = buf[: c1 - c0]
+        np.copyto(cols, taps[c0:c1])
+        prod = kt[c0:c1] @ cols.reshape(c1 - c0, kh * kw, B * n)
+        y[c0:c1] = prod.reshape(c1 - c0, B, H, wp)[..., :W]
     return y.transpose(1, 0, 2, 3)
 
 
@@ -470,9 +520,10 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     x: [B, C, H, W]; k: [C, kh, kw] with odd kh, kw. Spatial size is
     preserved by zero same-padding. The forward copies the kh*kw taps of the
     channel-major padded input into tap-major columns and contracts them
-    with k in one batched product; the output is stored [C, B, H, W]. The
-    input gradient is the same routine on the padded incoming gradient with
-    the flipped kernel. The kernel gradient reduces each tap of the forward's
+    with k in batched products, one channel group of at most
+    `_DW_GROUP_BYTES` of columns at a time (see `_correlate`); the output is
+    stored [C, B, H, W]. The input gradient is the same routine on the
+    padded incoming gradient with the flipped kernel. The kernel gradient reduces each tap of the forward's
     padded input against the centre tap of the padded gradient, both
     contiguous slices, so it makes no window copy.
     """

@@ -157,6 +157,25 @@ class TestDwconv2d:
             tracemalloc.stop()
         assert peak < 37.5 * x.data.nbytes, f"forward peak {peak / x.data.nbytes:.1f}x the input"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("per_group", [1, 2])
+    def test_channel_groups_agree_bitwise_with_one_group(self, monkeypatch, dtype, per_group):
+        # C = 5 in groups of 2 leaves a remainder group of 1
+        x_np = RNG.standard_normal((3, 5, 7, 6)).astype(dtype)
+        k_np = RNG.standard_normal((5, 3, 5)).astype(dtype)
+        g = Tensor(RNG.standard_normal((3, 5, 7, 6)).astype(dtype))
+        column_bytes = 3 * 5 * 3 * 7 * (6 + 4) * np.dtype(dtype).itemsize  # kh kw B H Wp
+        results = []
+        for group_bytes in (5 * column_bytes, per_group * column_bytes + column_bytes // 2):
+            monkeypatch.setattr(T, "_DW_GROUP_BYTES", group_bytes)
+            x, k = Tensor(x_np, requires_grad=True), Tensor(k_np, requires_grad=True)
+            y = dwconv2d(x, k)
+            backward((y * g).sum())
+            results.append((y.data, x.grad, k.grad))
+        for one, grouped in zip(*results):
+            np.testing.assert_array_equal(grouped, one)
+            assert grouped.dtype == dtype
+
 
 def _dwconv_loop_oracle(x, k, g):
     """Zero same-padded depth-wise cross-correlation y of x [B, C, H, W]
@@ -308,6 +327,36 @@ class TestGeluFloat32:
             order = np.empty_like(x).strides
             assert y.strides == order and cdf.strides == order, name
             assert y.dtype == cdf.dtype == np.float32, name
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-30.0, 30.0, 600_001),
+        np.concatenate([np.geomspace(1e-30, 1e30, 4001), -np.geomspace(1e-30, 1e30, 4001)]),
+    ], ids=["grid_30", "geomspace_1e30"])
+    def test_backward_accuracy(self, x):
+        g = np.random.default_rng(self.SEED).standard_normal(x.size)
+        x32, g32 = x.astype(np.float32), g.astype(np.float32)
+        with np.errstate(over="ignore"):  # x * x beyond float32's range: exp(-inf) = 0
+            got = T._gelu_grad(x32, T._gelu_float32(x32)[1], g32)
+        x64, g64 = x32.astype(np.float64), g32.astype(np.float64)
+        ref = g64 * (_gelu_float64_oracle(x64)[1] + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi))
+        assert got.dtype == np.float32
+        scale = np.maximum(1.0, np.abs(x64)) * np.abs(g64)
+        assert (np.abs(got - ref) / scale).max() <= self.BOUND
+
+    def test_blocked_backward_is_the_full_array_expression_bitwise(self):
+        rng = np.random.default_rng(self.SEED)
+        layouts = dict(self._layouts(), float64=rng.standard_normal((3, 7, 5)) * 3.0)
+        for name, x in layouts.items():
+            cdf = T._gelu_float32(x)[1] if x.dtype == np.float32 else _gelu_float64_oracle(x)[1]
+            g = rng.standard_normal(x.shape).astype(x.dtype)
+            axes = tuple(reversed(range(x.ndim)))
+            g_transposed = np.ascontiguousarray(g.transpose(axes)).transpose(axes)
+            pdf = np.exp(-0.5 * x * x) * x.dtype.type(T._INV_SQRT2PI)
+            ref = g * (cdf + x * pdf)
+            for g_in in (g, g_transposed):
+                got = T._gelu_grad(x, cdf, g_in)
+                np.testing.assert_array_equal(got, ref, err_msg=name)
+                assert got.strides == np.empty_like(x).strides, name
 
     def test_dwconv2d_output_keeps_its_channel_major_memory(self):
         rng = np.random.default_rng(self.SEED)
