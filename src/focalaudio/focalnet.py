@@ -16,8 +16,11 @@ The forward returns the modulator of the last block of the last stage next
 to the logits, as a plain [B, C, h, w] array; its channel-wise L2 norm is the
 saliency map the interpretation pipeline uses.
 
-Feature maps are channel-first batches [B, C, H, W]; channel projections
-are applied along the channel axis at every location. The model entry is
+Feature maps are channel-first batches [B, C, H, W], stored channel-first
+(C-contiguous) in memory too: channel projections are applied along the
+channel axis at every location through a `moveaxis` pair around
+`tensor.linear`, whose output storage makes the pair's result
+C-contiguous. The model entry is
 where plain arrays meet the autograd tape: it takes a numpy array (or a
 `Tensor`, when a gradient must reach the input), and a single [3, H, W]
 input too, as a batch of one.

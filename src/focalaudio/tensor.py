@@ -20,6 +20,10 @@ Conventions fixed here:
   of Eigen and XLA, evaluated in blocks of the input's memory: its normal
   CDF is within 3e-7 of the float64 one and GeLU within 3e-7 * max(1, |x|).
   The backward runs in the same blocks in either dtype,
+* `linear` reads x [..., in] as [lead, in, cells], lead being x's first
+  axis, and stores its output [lead, out, cells], the out axis second; the
+  [..., out] result is a view of that storage, so a channel projection of a
+  channel-first feature map is stored channel-first too,
 * depth-wise convolution is a stride-1 cross-correlation with zero
   same-padding. The forward copies the taps of the channel-major padded
   input into tap-major columns one channel group of at most
@@ -344,31 +348,44 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 # neural operators
 # ---------------------------------------------------------------------------
 
+def _lead_in_cells(a: np.ndarray, lead: int) -> np.ndarray:
+    """[..., C] read as [lead, C, cells]: a view, no copy, both for the
+    ``moveaxis`` view of a C-contiguous [B, C, H, W] and for a C-contiguous
+    [B, H, W, C]."""
+    return a.reshape(lead, -1, a.shape[-1]).transpose(0, 2, 1)
+
+
 def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ W.T + b along the trailing dimension of x.
 
-    x: [..., in], W: [out, in], b: [out] or None.
+    x: [..., in], W: [out, in], b: [out] or None. x is read as [lead, in,
+    cells], lead being its first axis (one lead of all rows for a 1-d or
+    2-d x), and y is computed as one batched product ``W @ x`` stored
+    [lead, out, cells]; the result is the [..., out] view of that storage,
+    so moving its last axis to axis 1 gives a C-contiguous [B, out, H, W].
     """
     x, W = _as_tensor(x), _as_tensor(W)
     if x.shape[-1] != W.shape[-1]:
         raise ValueError(
             f"linear: trailing dim of x is {x.shape[-1]}, W expects {W.shape[-1]}"
         )
-    y = x.data @ W.data.T
+    lead = x.shape[0] if x.ndim >= 3 else 1
+    xm = _lead_in_cells(x.data, lead)
+    y = W.data @ xm
     if b is not None:
         b = _as_tensor(b)
-        y = y + b.data
-    out = Tensor(y)
+        y += b.data[:, None]
+    out = Tensor(y.transpose(0, 2, 1).reshape(x.shape[:-1] + (W.shape[0],)))
     parents = (x, W) if b is None else (x, W, b)
 
     def bw(g):
-        g2 = g.reshape(-1, W.shape[0])
+        gm = _lead_in_cells(g, lead)
         if x.requires_grad:
-            _accum(x, (g2 @ W.data).reshape(x.shape))
+            _accum(x, (W.data.T @ gm).transpose(0, 2, 1).reshape(x.shape))
         if W.requires_grad:
-            _accum(W, g2.T @ x.data.reshape(-1, x.shape[-1]))
+            _accum(W, (gm @ xm.transpose(0, 2, 1)).sum(axis=0))
         if b is not None and b.requires_grad:
-            _accum(b, g2.sum(axis=0))
+            _accum(b, gm.sum(axis=(0, 2)))
 
     return _attach(out, parents, "linear", bw)
 
@@ -438,16 +455,19 @@ def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     flat_out = np.empty_like(flat_x)
     s_buf = np.empty(min(flat_x.size, _GELU_BLOCK), x.dtype)
     inv_sqrt2pi = x.dtype.type(_INV_SQRT2PI)
-    for i in range(0, flat_x.size, _GELU_BLOCK):
-        xb = flat_x[i : i + _GELU_BLOCK]
-        s = s_buf[: xb.size]
-        np.multiply(xb, -0.5, out=s)
-        np.multiply(s, xb, out=s)
-        np.exp(s, out=s)
-        np.multiply(s, inv_sqrt2pi, out=s)
-        np.multiply(xb, s, out=s)
-        np.add(flat_cdf[i : i + _GELU_BLOCK], s, out=s)
-        np.multiply(flat_g[i : i + _GELU_BLOCK], s, out=flat_out[i : i + _GELU_BLOCK])
+    # -x^2 / 2 overflows to -inf beyond |x| ~ 1.8e19 in float32; exp(-inf)
+    # is the right 0, so the overflow warning is not wanted
+    with np.errstate(over="ignore"):
+        for i in range(0, flat_x.size, _GELU_BLOCK):
+            xb = flat_x[i : i + _GELU_BLOCK]
+            s = s_buf[: xb.size]
+            np.multiply(xb, -0.5, out=s)
+            np.multiply(s, xb, out=s)
+            np.exp(s, out=s)
+            np.multiply(s, inv_sqrt2pi, out=s)
+            np.multiply(xb, s, out=s)
+            np.add(flat_cdf[i : i + _GELU_BLOCK], s, out=s)
+            np.multiply(flat_g[i : i + _GELU_BLOCK], s, out=flat_out[i : i + _GELU_BLOCK])
     return _unflatten(flat_out, x.shape, perm)
 
 

@@ -20,10 +20,21 @@ batch size 3 and the q = 0.9 listening waveforms. Then a 2-epoch desk `fit`
 on the 16 kHz, 1 s, 80-clip synthetic set of seed 0: its log lines without
 the timing keys, its history and the `model_id` of its last and best
 checkpoints.
+
+    PYTHONPATH=src python tests/output_hashes.py --dump DIR
+
+also writes the arrays behind each line, `DIR/<line>/<name>.npy`, and the
+printed lines, `DIR/hashes.txt`, for `tests/output_diff.py` to say how far
+two trees' outputs are apart. Floating arrays are numbers (logits,
+probabilities, samples, losses, parameters), integer arrays are classes and
+boolean arrays are mask cells: the q-quantile masks of each modulator's
+map, at spectrogram resolution for the pool's clips and at 96x96 for the
+desk forward's inputs.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import tempfile
@@ -47,16 +58,33 @@ def sha(*parts) -> str:
     return h.hexdigest()
 
 
-def forward_hashes() -> dict:
+def masks(maps, shapes) -> np.ndarray:
+    """[n, |Q|, *shape] boolean masks of the [h, w] maps, as `evaluate` thresholds them."""
+    return np.stack([interpret.threshold_mask(m, Q, shape) for m, shape in zip(maps, shapes)]
+                    ).astype(bool)
+
+
+def columns(rows: list) -> dict:
+    """A list of dicts with numeric values as one float64 array per key."""
+    return {k: np.array([row[k] for row in rows], dtype=np.float64) for k in rows[0]}
+
+
+def forward_outputs() -> dict:
+    """line -> (digest, arrays) for the desk forward."""
     model = FocalNet(FocalNetConfig.desk(len(data.SYNTH_CLASSES)), seed=0)
     x = np.random.default_rng(0).standard_normal((4, 3, 96, 96)).astype(np.float32)
     with no_grad():
         logits, modulator = model.forward(Tensor(x))
-    return {"desk_forward": sha(np.ascontiguousarray(logits.data).tobytes(),
-                                np.ascontiguousarray(modulator).tobytes())}
+    digest = sha(np.ascontiguousarray(logits.data).tobytes(),
+                 np.ascontiguousarray(modulator).tobytes())
+    return {"desk_forward": (digest, {
+        "logits": logits.data, "modulator": modulator,
+        "classes": np.argmax(logits.data, axis=-1),
+        "masks": masks(interpret.modulation_map(modulator), [x.shape[2:]] * len(x)),
+    })}
 
 
-def interpretation_hashes(root: Path) -> dict:
+def interpretation_outputs(root: Path) -> dict:
     manifest = data.generate_synthetic_dataset(root / "pool", clips_per_class=2, seconds=5.0,
                                                sample_rate=44100, seed=0)
     frontend = FrontendConfig(input_size=96)
@@ -68,20 +96,26 @@ def interpretation_hashes(root: Path) -> dict:
     sweeps = [metrics.quantile_sweep(model, [s], Q, frontend.input_size).entries for s in specs]
     preds = metrics.predict_batch(model, specs, frontend.input_size, batch_size=3)
     listen = [interpret.listenable_interpretation(w, model, frontend, q=0.9) for w in waves]
+    _, maps = interpret.logits_and_maps(
+        model, (audio.to_model_input(s, out=frontend.input_size) for s in specs))
     return {
-        "evaluate_records": sha([[cid, q, int(ev.predicted[c]),
-                                  int(ev.predicted_on_interpretation[c, i]),
-                                  float(ev.prob_predicted[c]),
-                                  float(ev.prob_predicted_on_removal[c, i])]
-                                 for c, cid in enumerate(ids) for i, q in enumerate(ev.qs)]),
-        "sweep_entries": sha(sweeps),
-        "predict_batch_3": sha(preds.tolist()),
-        "listening_q0.9": sha(*(w.samples.tobytes() + str(w.sample_rate).encode()
-                                for w in listen)),
+        "evaluate_records": (
+            sha([[cid, q, int(ev.predicted[c]), int(ev.predicted_on_interpretation[c, i]),
+                  float(ev.prob_predicted[c]), float(ev.prob_predicted_on_removal[c, i])]
+                 for c, cid in enumerate(ids) for i, q in enumerate(ev.qs)]),
+            {"predicted": ev.predicted, "predicted_on_interpretation": ev.predicted_on_interpretation,
+             "prob_predicted": ev.prob_predicted,
+             "prob_predicted_on_removal": ev.prob_predicted_on_removal,
+             "masks": masks(maps, [s.log_mag.shape for s in specs])}),
+        "sweep_entries": (sha(sweeps), {"entries": np.array(sweeps, dtype=np.float64)}),
+        "predict_batch_3": (sha(preds.tolist()), {"classes": preds}),
+        "listening_q0.9": (sha(*(w.samples.tobytes() + str(w.sample_rate).encode()
+                                 for w in listen)),
+                           {"samples": np.concatenate([w.samples for w in listen])}),
     }
 
 
-def fit_hashes(root: Path) -> dict:
+def fit_outputs(root: Path) -> dict:
     manifest = data.generate_synthetic_dataset(root / "fit", clips_per_class=20, seconds=1.0,
                                                sample_rate=16000, seed=0)
     frontend = FrontendConfig(input_size=96)
@@ -90,15 +124,36 @@ def fit_hashes(root: Path) -> dict:
     model = FocalNet(FocalNetConfig.desk(len(data.SYNTH_CLASSES)), seed=0)
     res = training.fit(model, train, val, training.TrainConfig.desk(epochs=2, seed=0), frontend)
     lines = [{k: v for k, v in line.items() if k not in TIMING_KEYS} for line in res.log_lines]
-    return {"fit_log": sha(lines), "fit_history": sha(res.history),
-            "fit_model_ids": sha([res.last.model_id(), res.best.model_id()])}
+    params = {f"{which}_params": np.concatenate([ckpt.params[n].reshape(-1)
+                                                 for n in sorted(ckpt.params)])
+              for which, ckpt in (("last", res.last), ("best", res.best))}
+    return {"fit_log": (sha(lines), columns(lines)),
+            "fit_history": (sha(res.history), columns(res.history)),
+            "fit_model_ids": (sha([res.last.model_id(), res.best.model_id()]), params)}
+
+
+def dump(outputs: dict, out_dir: Path) -> None:
+    """Write `DIR/<line>/<name>.npy` for every array and the hash lines to
+    `DIR/hashes.txt`."""
+    for line, (_, arrays) in outputs.items():
+        (out_dir / line).mkdir(parents=True, exist_ok=True)
+        for name, arr in arrays.items():
+            np.save(out_dir / line / f"{name}.npy", np.asarray(arr))
+    (out_dir / "hashes.txt").write_text(
+        "".join(f"{line} {digest}\n" for line, (digest, _) in outputs.items()))
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write the arrays behind each line under DIR")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        out = {**forward_hashes(), **interpretation_hashes(Path(tmp)), **fit_hashes(Path(tmp))}
-    for name, digest in out.items():
-        print(f"{name} {digest}")
+        out = {**forward_outputs(), **interpretation_outputs(Path(tmp)), **fit_outputs(Path(tmp))}
+    for line, (digest, _) in out.items():
+        print(f"{line} {digest}")
+    if args.dump is not None:
+        dump(out, args.dump)
 
 
 if __name__ == "__main__":

@@ -279,6 +279,15 @@ class TestFocalNetForward:
             _, modulator = net.forward(RNG.standard_normal((1, 3, *hw)).astype(np.float32))
         assert modulator.shape[-2:] == (hw[0] // 8, hw[1] // 8)
 
+    def test_feature_maps_are_channel_first_in_memory(self):
+        net = FocalNet(FocalNetConfig.desk(), seed=0)
+        x = np.random.default_rng(50).standard_normal((2, 3, 96, 96)).astype(np.float32)
+        with no_grad():
+            _, modulator = net.forward(x)
+            y, _ = net.stages[0].blocks[0](net.stem(Tensor(x)))
+        assert modulator.shape == (2, 32, 12, 12) and modulator.flags.c_contiguous
+        assert y.shape == (2, 16, 24, 24) and y.data.flags.c_contiguous
+
     def test_forward_deterministic_bitwise(self):
         net = FocalNet(FocalNetConfig.tiny(), seed=3)
         x = Tensor(RNG.standard_normal((3, 32, 32)).astype(np.float32))

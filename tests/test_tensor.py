@@ -51,6 +51,27 @@ class TestLinear:
         b = randt(5)
         errs = gradient_check(lambda: linear(x, W, b).sum(), {"x": x, "W": W, "b": b})
         assert max(errs.values()) < 1e-4
+        # every other input rank and layout the one routine reads, each
+        # against a random weighting of its output: PatchEmbed's C-contiguous
+        # [b, hp, wp, c*p*p] (lead 2), 3-d and 1-d
+        rng = np.random.default_rng(48)
+        for shape in ((2, 3, 2, 4), (2, 3, 4), (4,)):
+            x = Tensor(rng.standard_normal(shape), requires_grad=True)
+            r = Tensor(rng.standard_normal(shape[:-1] + (5,)))
+            errs = gradient_check(lambda: (linear(x, W, b) * r).sum(), {"x": x, "W": W, "b": b})
+            assert max(errs.values()) < 1e-4, (shape, errs)
+
+    def test_channel_first_storage(self):
+        # the moveaxis view of a C-contiguous [B, C, H, W] and a C-contiguous
+        # [B, H, W, C] both come back [B, H, W, D] stored [B, D, H, W]
+        rng = np.random.default_rng(49)
+        W, b = Tensor(rng.standard_normal((5, 4))), Tensor(rng.standard_normal(5))
+        nchw = Tensor(rng.standard_normal((2, 4, 3, 6)))
+        for x in (T.moveaxis(nchw, 1, 3), Tensor(rng.standard_normal((2, 3, 6, 4)))):
+            y = linear(x, W, b)
+            assert y.shape == (2, 3, 6, 5)
+            assert np.moveaxis(y.data, -1, 1).flags.c_contiguous
+            np.testing.assert_allclose(y.data, x.data @ W.data.T + b.data, rtol=1e-12, atol=1e-12)
 
     def test_batched_leading_dims(self):
         x = randt(2, 3, 4)
@@ -335,8 +356,7 @@ class TestGeluFloat32:
     def test_backward_accuracy(self, x):
         g = np.random.default_rng(self.SEED).standard_normal(x.size)
         x32, g32 = x.astype(np.float32), g.astype(np.float32)
-        with np.errstate(over="ignore"):  # x * x beyond float32's range: exp(-inf) = 0
-            got = T._gelu_grad(x32, T._gelu_float32(x32)[1], g32)
+        got = T._gelu_grad(x32, T._gelu_float32(x32)[1], g32)
         x64, g64 = x32.astype(np.float64), g32.astype(np.float64)
         ref = g64 * (_gelu_float64_oracle(x64)[1] + x64 * np.exp(-0.5 * x64 * x64) / math.sqrt(2 * math.pi))
         assert got.dtype == np.float32
