@@ -25,13 +25,17 @@ Conventions fixed here:
   [..., out] result is a view of that storage, so a channel projection of a
   channel-first feature map is stored channel-first too,
 * depth-wise convolution is a stride-1 cross-correlation with zero
-  same-padding. The forward copies the taps of the channel-major padded
-  input into tap-major columns one channel group of at most
-  `_DW_GROUP_BYTES` (1 MB) at a time, and contracts each group with its
-  kernels in one batched product, so its output is stored [C, B, H, W];
-  the input gradient is the same routine on the incoming gradient with the
-  flipped kernel, and the kernel gradient is reduced one contiguous tap
-  slice at a time,
+  same-padding. A map is read through one padded tap view, a read-only
+  [C, kh, kw, B, H * Wp] over a single channel-major zero-padded copy. The
+  forward copies that view into tap-major columns one channel group of at
+  most `_DW_GROUP_BYTES` (1 MB) at a time, and contracts each group with
+  its kernels in one batched product, so its output is stored
+  [C, B, H, W]; the input gradient is the same routine on the incoming
+  gradient's view with the flipped kernel, and the kernel gradient is one
+  contraction of the input's view with the gradient's centre tap,
+* a gradient, or the `.data` of a non-leaf, may be a read-only broadcast
+  view: `broadcast_to` and the backwards of `sum` and `global_avg_pool`
+  return `np.broadcast_to` views, not copies,
 * layer normalization adds `_LN_EPS` (1e-5) to the variance, in the
   input's dtype,
 * parameters are initialized from a normal distribution with standard
@@ -197,15 +201,13 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
+    """Sum gradient over axes that numpy broadcasting expanded, in one call."""
     if g.shape == shape:
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + ax for ax, n in enumerate(shape) if n == 1 and g.shape[lead + ax] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.shape).copy())
+        _accum(a, np.broadcast_to(g, a.shape))
 
     return _attach(out, (a,), "sum", bw)
 
@@ -335,7 +337,7 @@ def getitem(a: Tensor, idx) -> Tensor:
 
 def broadcast_to(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    out = Tensor(np.broadcast_to(a.data, shape).copy())
+    out = Tensor(np.broadcast_to(a.data, shape))
 
     def bw(g):
         if a.requires_grad:
@@ -390,17 +392,6 @@ def linear(x: Tensor, W: Tensor, b: Tensor | None = None) -> Tensor:
     return _attach(out, parents, "linear", bw)
 
 
-def _memory_order(x: np.ndarray) -> list[int]:
-    """x's axes from the largest stride to the smallest: ``x.transpose`` of
-    them, flattened, runs over x's memory without a copy if x is dense."""
-    return sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
-
-
-def _unflatten(flat: np.ndarray, shape: tuple[int, ...], perm: list[int]) -> np.ndarray:
-    """The inverse of ``a.transpose(perm).reshape(-1)`` for an a of `shape`."""
-    return flat.reshape([shape[a] for a in perm]).transpose(np.argsort(perm))
-
-
 def _horner(z: np.ndarray, coeffs: Sequence[np.float32], out: np.ndarray) -> None:
     """out = the polynomial with `coeffs` (highest power first) at z."""
     np.multiply(z, coeffs[0], out=out)
@@ -410,65 +401,78 @@ def _horner(z: np.ndarray, coeffs: Sequence[np.float32], out: np.ndarray) -> Non
         np.add(out, c, out=out)
 
 
-def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x * Phi(x), Phi(x)) for float32 x with the rational erf.
+def _blockwise(body: Callable[..., None], inputs: Sequence[np.ndarray], n_out: int,
+               n_scratch: int) -> tuple[np.ndarray, ...]:
+    """Run `body` over `inputs` in blocks of `_GELU_BLOCK` elements.
 
-    Both results are stored in x's memory order. The work runs over that
-    order in blocks of `_GELU_BLOCK` elements through two scratch buffers,
-    so no full-size temporary is made (one input copy if x is not dense).
+    Every input is read in the memory order of the first, x: one copy of
+    each input whose layout differs or that is not dense. Each block calls
+    ``body(*input_blocks, *output_blocks, *scratch)``: `n_out` output
+    blocks to fill, then `n_scratch` buffers of x's dtype that every block
+    reuses, so no full-size temporary is made. Returns the `n_out` outputs,
+    each stored in x's memory order.
+    """
+    x = inputs[0]
+    # x's axes from the largest stride to the smallest: x.transpose(perm),
+    # flattened, runs over x's memory without a copy if x is dense
+    perm = sorted(range(x.ndim), key=lambda i: -abs(x.strides[i]))
+    flats = [a.transpose(perm).reshape(-1) for a in inputs]
+    outs = [np.empty_like(flats[0]) for _ in range(n_out)]
+    scratch = [np.empty(min(x.size, _GELU_BLOCK), x.dtype) for _ in range(n_scratch)]
+    for i in range(0, x.size, _GELU_BLOCK):
+        blocks = [a[i : i + _GELU_BLOCK] for a in flats + outs]
+        body(*blocks, *(buf[: blocks[0].size] for buf in scratch))
+    inv = np.argsort(perm)
+    return tuple(out.reshape([x.shape[a] for a in perm]).transpose(inv) for out in outs)
+
+
+def _gelu_block(x: np.ndarray, y: np.ndarray, cdf: np.ndarray, xs: np.ndarray,
+                x2: np.ndarray) -> None:
+    """y = x * Phi(x) and cdf = Phi(x) on one float32 block, through the
+    scratch buffers xs and x2."""
+    np.clip(x, -_PHI_CLAMP, _PHI_CLAMP, out=xs)
+    np.multiply(xs, xs, out=x2)
+    _horner(x2, _PHI_P, out=cdf)
+    np.multiply(cdf, xs, out=cdf)
+    _horner(x2, _PHI_Q, out=xs)
+    np.divide(cdf, xs, out=cdf)
+    np.add(cdf, np.float32(0.5), out=cdf)
+    np.clip(cdf, np.float32(0.0), np.float32(1.0), out=cdf)
+    np.multiply(x, cdf, out=y)
+
+
+def _gelu_float32(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)) for float32 x with the rational erf, both stored
+    in x's memory order and computed in blocks of it (`_blockwise`).
+
     Phi is clipped to [0, 1]: the rational form dips to -1.2e-7 in the far
     left tail, which would give gelu(-20) > 0.
     """
-    perm = _memory_order(x)
-    flat_x = x.transpose(perm).reshape(-1)
-    flat_y = np.empty_like(flat_x)
-    flat_cdf = np.empty_like(flat_x)
-    n = min(flat_x.size, _GELU_BLOCK)
-    xs_buf, x2_buf = np.empty(n, np.float32), np.empty(n, np.float32)
-    for i in range(0, flat_x.size, _GELU_BLOCK):
-        xb = flat_x[i : i + _GELU_BLOCK]
-        xs, x2 = xs_buf[: xb.size], x2_buf[: xb.size]
-        cdf = flat_cdf[i : i + _GELU_BLOCK]
-        np.clip(xb, -_PHI_CLAMP, _PHI_CLAMP, out=xs)
-        np.multiply(xs, xs, out=x2)
-        _horner(x2, _PHI_P, out=cdf)
-        np.multiply(cdf, xs, out=cdf)
-        _horner(x2, _PHI_Q, out=xs)
-        np.divide(cdf, xs, out=cdf)
-        np.add(cdf, np.float32(0.5), out=cdf)
-        np.clip(cdf, np.float32(0.0), np.float32(1.0), out=cdf)
-        np.multiply(xb, cdf, out=flat_y[i : i + _GELU_BLOCK])
-    return _unflatten(flat_y, x.shape, perm), _unflatten(flat_cdf, x.shape, perm)
+    return _blockwise(_gelu_block, (x,), n_out=2, n_scratch=2)
+
+
+def _gelu_grad_block(x: np.ndarray, cdf: np.ndarray, g: np.ndarray, out: np.ndarray,
+                     s: np.ndarray) -> None:
+    """out = g * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)) on one block, with
+    the per-element op order of that full-array expression."""
+    np.multiply(x, -0.5, out=s)
+    np.multiply(s, x, out=s)
+    np.exp(s, out=s)
+    np.multiply(s, x.dtype.type(_INV_SQRT2PI), out=s)
+    np.multiply(x, s, out=s)
+    np.add(cdf, s, out=s)
+    np.multiply(g, s, out=out)
 
 
 def _gelu_grad(x: np.ndarray, cdf: np.ndarray, g: np.ndarray) -> np.ndarray:
     """GeLU's backward g * (cdf + x * exp(-x^2 / 2) / sqrt(2 pi)), stored in
-    x's memory order.
-
-    The work runs over that order in blocks of `_GELU_BLOCK` elements through
-    one scratch buffer, with the per-element op order of the full-array
-    expression, so the result is bitwise the same. cdf and g are read in x's
-    memory order: one copy of each whose layout differs.
+    x's memory order and computed in blocks of it (`_blockwise`), bitwise
+    the same as that full-array expression.
     """
-    perm = _memory_order(x)
-    flat_x, flat_cdf, flat_g = (a.transpose(perm).reshape(-1) for a in (x, cdf, g))
-    flat_out = np.empty_like(flat_x)
-    s_buf = np.empty(min(flat_x.size, _GELU_BLOCK), x.dtype)
-    inv_sqrt2pi = x.dtype.type(_INV_SQRT2PI)
     # -x^2 / 2 overflows to -inf beyond |x| ~ 1.8e19 in float32; exp(-inf)
     # is the right 0, so the overflow warning is not wanted
     with np.errstate(over="ignore"):
-        for i in range(0, flat_x.size, _GELU_BLOCK):
-            xb = flat_x[i : i + _GELU_BLOCK]
-            s = s_buf[: xb.size]
-            np.multiply(xb, -0.5, out=s)
-            np.multiply(s, xb, out=s)
-            np.exp(s, out=s)
-            np.multiply(s, inv_sqrt2pi, out=s)
-            np.multiply(xb, s, out=s)
-            np.add(flat_cdf[i : i + _GELU_BLOCK], s, out=s)
-            np.multiply(flat_g[i : i + _GELU_BLOCK], s, out=flat_out[i : i + _GELU_BLOCK])
-    return _unflatten(flat_out, x.shape, perm)
+        return _blockwise(_gelu_grad_block, (x, cdf, g), n_out=1, n_scratch=1)[0]
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -490,47 +494,46 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def _padded_taps(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """x [B, C, H, W] zero-padded to [H + kh, Wp = W + kw - 1], channel-major.
+    """The kh*kw taps of x [B, C, H, W] zero same-padded, as one read-only
+    view [C, kh, kw, B, H * Wp] with Wp = W + kw - 1.
 
-    Returns [C, B, (H + kh) * Wp] with each image flattened. Tap (u, v) of
-    every cell of the padded [H, Wp] output grid is then one contiguous run,
-    ``flat[:, :, off : off + H * Wp]`` with ``off = u * Wp + v``; the spare
-    row keeps the last tap in bounds. Grid columns W.. read wrapped values
-    and are dropped or zero-weighted by the caller.
+    x is copied once, channel-major, into a zeroed [C, B, H + kh, Wp]; the
+    spare row keeps the last tap in bounds. Tap (u, v) of channel c is then
+    the contiguous run of each image starting at ``u * Wp + v``: the value
+    tap (u, v) reads for every cell of the padded [H, Wp] output grid. Grid
+    columns W.. read wrapped values and are dropped or zero-weighted by the
+    caller.
     """
     B, C, H, W = x.shape
-    flat = np.zeros((C, B, H + kh, W + kw - 1), dtype=x.dtype)
-    flat[:, :, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W] = x.transpose(1, 0, 2, 3)
-    return flat.reshape(C, B, -1)
+    wp = W + kw - 1
+    pad = np.zeros((C, B, H + kh, wp), dtype=x.dtype)
+    pad[:, :, kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W] = x.transpose(1, 0, 2, 3)
+    sc, sb, _, s = pad.strides
+    return np.lib.stride_tricks.as_strided(pad, (C, kh, kw, B, H * wp), (sc, wp * s, s, sb, s),
+                                           writeable=False)
 
 
-def _correlate(flat: np.ndarray, k: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Same-size depth-wise cross-correlation of `_padded_taps` output with
-    k [C, kh, kw], one channel group at a time: the group's taps are copied
-    in one go from a strided view into tap-major columns
+def _correlate(taps: np.ndarray, k: np.ndarray, W: int) -> np.ndarray:
+    """Same-size depth-wise cross-correlation of the `_padded_taps` view of
+    a [B, C, H, W] map with k [C, kh, kw], one channel group at a time: the
+    group's taps are copied in one go into tap-major columns
     [group, kh*kw, B*H*Wp] and contracted with its kernels in one batched
     product. A group holds as many channels as fit in `_DW_GROUP_BYTES` of
     columns, at least one, and every group reuses one columns buffer. Each
     channel's product is the same whatever the group size. Returns
     [B, C, H, W] stored channel-major, [C, B, H, W]."""
-    C, B, _ = flat.shape
-    kh, kw = k.shape[1], k.shape[2]
+    C, kh, kw, B, n = taps.shape
     wp = W + kw - 1
-    n = H * wp
-    # taps[c, u, v] is the run of tap (u, v), flat[c, :, u * wp + v :][:, :n]
-    sc, sb, s = flat.strides
-    taps = np.lib.stride_tricks.as_strided(flat, (C, kh, kw, B, n), (sc, wp * s, s, sb, s),
-                                           writeable=False)
-    group = max(1, _DW_GROUP_BYTES // (kh * kw * B * n * flat.itemsize))
-    buf = np.empty((min(group, C), kh, kw, B, n), dtype=flat.dtype)
-    y = np.empty((C, B, H, W), dtype=flat.dtype)
+    group = max(1, _DW_GROUP_BYTES // (kh * kw * B * n * taps.itemsize))
+    buf = np.empty((min(group, C), kh, kw, B, n), dtype=taps.dtype)
+    y = np.empty((C, B, n // wp, W), dtype=taps.dtype)
     kt = k.reshape(C, 1, kh * kw)
     for c0 in range(0, C, group):
         c1 = min(c0 + group, C)
         cols = buf[: c1 - c0]
         np.copyto(cols, taps[c0:c1])
         prod = kt[c0:c1] @ cols.reshape(c1 - c0, kh * kw, B * n)
-        y[c0:c1] = prod.reshape(c1 - c0, B, H, wp)[..., :W]
+        y[c0:c1] = prod.reshape(c1 - c0, B, -1, wp)[..., :W]
     return y.transpose(1, 0, 2, 3)
 
 
@@ -538,14 +541,15 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
     """Depth-wise 2-d convolution: each channel sees only its own kernel.
 
     x: [B, C, H, W]; k: [C, kh, kw] with odd kh, kw. Spatial size is
-    preserved by zero same-padding. The forward copies the kh*kw taps of the
-    channel-major padded input into tap-major columns and contracts them
-    with k in batched products, one channel group of at most
-    `_DW_GROUP_BYTES` of columns at a time (see `_correlate`); the output is
-    stored [C, B, H, W]. The input gradient is the same routine on the
-    padded incoming gradient with the flipped kernel. The kernel gradient reduces each tap of the forward's
-    padded input against the centre tap of the padded gradient, both
-    contiguous slices, so it makes no window copy.
+    preserved by zero same-padding. Both passes read the one padded tap
+    view of their map (`_padded_taps`). The forward copies the view into
+    tap-major columns and contracts them with k in batched products, one
+    channel group of at most `_DW_GROUP_BYTES` of columns at a time (see
+    `_correlate`); the output is stored [C, B, H, W]. The input gradient is
+    the same routine on the incoming gradient's taps with the flipped
+    kernel. The kernel gradient is one contraction of the input's taps with
+    the gradient's centre tap, which reads g on the [H, Wp] grid, zero in
+    columns W..; it makes no window copy.
     """
     x, k = _as_tensor(x), _as_tensor(k)
     if k.ndim != 3:
@@ -557,27 +561,18 @@ def dwconv2d(x: Tensor, k: Tensor) -> Tensor:
         raise ValueError(
             f"dwconv2d: input {x.shape} incompatible with kernel {k.shape}"
         )
-    H, W = x.shape[2:]
-    flat = _padded_taps(x.data, kh, kw)
-    out = Tensor(_correlate(flat, k.data, H, W))
+    W = x.shape[3]
+    taps = _padded_taps(x.data, kh, kw)
+    out = Tensor(_correlate(taps, k.data, W))
 
     def bw(g):
-        gflat = _padded_taps(g, kh, kw)
+        gtaps = _padded_taps(g, kh, kw)
         if x.requires_grad:
-            kflip = np.ascontiguousarray(k.data[:, ::-1, ::-1])
-            _accum(x, _correlate(gflat, kflip, H, W))
+            # contiguous: reshaped, the flipped view keeps negative strides,
+            # and the batched product then sums in another order
+            _accum(x, _correlate(gtaps, np.ascontiguousarray(k.data[:, ::-1, ::-1]), W))
         if k.requires_grad:
-            wp = W + kw - 1
-            n = H * wp
-            # the centre tap reads g on the [H, Wp] grid, zero in columns W..
-            centre = (kh // 2) * wp + kw // 2
-            gp = gflat[:, :, centre : centre + n]
-            gk = np.empty(k.shape, dtype=g.dtype)
-            for u in range(kh):
-                for v in range(kw):
-                    off = u * wp + v
-                    gk[:, u, v] = np.einsum("cbn,cbn->c", flat[:, :, off : off + n], gp)
-            _accum(k, gk)
+            _accum(k, np.einsum("cuvbn,cbn->cuv", taps, gtaps[:, kh // 2, kw // 2]))
 
     return _attach(out, (x, k), "dwconv2d", bw)
 
@@ -624,7 +619,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def bw(g):
         if x.requires_grad:
             g = g[..., None, None] / x.dtype.type(h * w)
-            _accum(x, np.broadcast_to(g, x.shape).copy())
+            _accum(x, np.broadcast_to(g, x.shape))
 
     return _attach(out, (x,), "global_avg_pool", bw)
 

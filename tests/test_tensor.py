@@ -222,19 +222,35 @@ def _dwconv_loop_oracle(x, k, g):
 
 
 class TestDwconv2dLoopOracle:
+    # A float32 result may be off the float64 loops by F32_BOUND times the
+    # same loops on absolute values, the sum of |terms| behind each entry.
+    # Measured over 30 seeds of the float32 cases below (and a [3, 4, 9, 8]
+    # map with a 5x3 kernel), the largest ratio was 2.1e-7 for the forward
+    # and the input gradient and 7.6e-8 for the kernel gradient; eps is
+    # 1.19e-7.
+    F32_BOUND = 5e-7
+
     def _check(self, x_data, k_data, g=None):
+        dtype = x_data.dtype
         x, k = Tensor(x_data, requires_grad=True), Tensor(k_data, requires_grad=True)
         y = dwconv2d(x, k)
         if g is None:
-            g = RNG.standard_normal(y.shape)
+            g = RNG.standard_normal(y.shape).astype(dtype)
             backward((y * Tensor(g)).sum())
         else:
             # routed through a transpose, the gradient reaching dwconv2d is a strided view of g
             backward((T.transpose(y, (0, 1, 3, 2)) * Tensor(g.transpose(0, 1, 3, 2).copy())).sum())
-        ry, rgx, rgk = _dwconv_loop_oracle(np.asarray(x_data), np.asarray(k_data), g)
-        np.testing.assert_allclose(y.data, ry, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(x.grad, rgx, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(k.grad, rgk, rtol=0, atol=1e-12)
+        x64, k64, g64 = (np.asarray(a, dtype=np.float64) for a in (x_data, k_data, g))
+        got = (y.data, x.grad, k.grad)
+        ref = _dwconv_loop_oracle(x64, k64, g64)
+        if dtype == np.float64:
+            for a, r in zip(got, ref):
+                np.testing.assert_allclose(a, r, rtol=0, atol=1e-12)
+            return
+        scale = _dwconv_loop_oracle(np.abs(x64), np.abs(k64), np.abs(g64))
+        for name, a, r, s in zip(("forward", "input gradient", "kernel gradient"), got, ref, scale):
+            assert a.dtype == np.float32, name
+            assert (np.abs(a - r) <= self.F32_BOUND * s).all(), name
 
     @pytest.mark.parametrize("kh, kw", [(1, 1), (3, 5), (5, 3), (7, 7)])
     def test_kernel_shapes(self, kh, kw):
@@ -257,6 +273,16 @@ class TestDwconv2dLoopOracle:
     def test_noncontiguous_incoming_gradient(self):
         self._check(RNG.standard_normal((2, 3, 6, 7)), RNG.standard_normal((3, 5, 3)),
                     g=RNG.standard_normal((2, 3, 6, 7)))
+
+    @pytest.mark.parametrize("kh, kw", [(3, 5), (7, 7)])
+    def test_float32_kernel_shapes(self, kh, kw):
+        self._check(RNG.standard_normal((2, 3, 6, 7)).astype(np.float32),
+                    RNG.standard_normal((3, kh, kw)).astype(np.float32))
+
+    def test_float32_noncontiguous_incoming_gradient(self):
+        self._check(RNG.standard_normal((2, 3, 6, 7)).astype(np.float32),
+                    RNG.standard_normal((3, 5, 3)).astype(np.float32),
+                    g=RNG.standard_normal((2, 3, 6, 7)).astype(np.float32))
 
 
 class TestGelu:
