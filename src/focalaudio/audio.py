@@ -23,9 +23,12 @@ no frame saw it.
 
 Bilinear resizing (the input shrink here, the mask upsampling in
 `interpret`) uses align-corners sampling: output corner pixels map onto
-input corner pixels, and a singleton output axis samples coordinate 0.
+input corner pixels, and a singleton output axis samples coordinate 0. The
+shrink to an N x N input reads at most 2N rows and 2N columns, its
+`ShrinkGrid`; `to_model_input` gathers those cells and shrinks only them.
 
-`resample` always targets `SAMPLE_RATE`. `load_wav` reads PCM16 and float32
+`resample` always targets `SAMPLE_RATE`, with scipy's default Kaiser
+low-pass, designed once per rate pair. `load_wav` reads PCM16 and float32
 files, since it reads input made elsewhere; `save_wav` writes float32 only.
 
 Everything here works on plain numpy arrays: a model input is an
@@ -37,9 +40,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 SAMPLE_RATE = 16000
 N_FFT = 1024
@@ -200,12 +204,25 @@ def save_wav(w: Waveform, path) -> None:
 # resampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _lowpass(max_rate: int) -> np.ndarray:
+    """`resample_poly`'s default filter when the larger reduced rate factor is
+    `max_rate`: 20·max_rate + 1 Kaiser (beta 5) taps, cutoff 1/max_rate of
+    Nyquist. Read-only; `resample_poly` copies it and scales it by `up`."""
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
 def resample(w: Waveform) -> Waveform:
     """Polyphase resampling to `SAMPLE_RATE`; output length is
     round(len * SAMPLE_RATE / source rate). A clip already at `SAMPLE_RATE`
     comes back as an equal copy."""
     g = math.gcd(SAMPLE_RATE, w.sample_rate)
-    out = resample_poly(w.samples.astype(np.float64), SAMPLE_RATE // g, w.sample_rate // g)
+    up, down = SAMPLE_RATE // g, w.sample_rate // g
+    if up == down:  # firwin rejects the cutoff 1 an identity would ask for
+        return Waveform(w.samples.copy(), SAMPLE_RATE)
+    out = resample_poly(w.samples.astype(np.float64), up, down, window=_lowpass(max(up, down)))
     # resample_poly returns ceil(len * up / down) samples, never fewer than wanted
     return Waveform(out[: round(w.samples.size * SAMPLE_RATE / w.sample_rate)], SAMPLE_RATE)
 
@@ -286,10 +303,10 @@ def _interp_coeffs(in_len: int, out_len: int, dtype):
     return i0, i1, w
 
 
-def _resize_axis(data: np.ndarray, out_len: int, axis: int) -> np.ndarray:
-    i0, i1, w = _interp_coeffs(data.shape[axis], out_len, data.dtype)
+def _resize_axis(data: np.ndarray, coeffs: tuple, axis: int) -> np.ndarray:
+    i0, i1, w = coeffs
     shape = [1] * data.ndim
-    shape[axis] = out_len
+    shape[axis] = w.size
     w = w.reshape(shape)
     a = np.take(data, i0, axis=axis)
     b = np.take(data, i1, axis=axis)
@@ -299,24 +316,56 @@ def _resize_axis(data: np.ndarray, out_len: int, axis: int) -> np.ndarray:
 
 def bilinear_resize_array(data: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize of the two trailing axes (align-corners)."""
-    return _resize_axis(_resize_axis(data, out_h, data.ndim - 2), out_w, data.ndim - 1)
+    rows = _interp_coeffs(data.shape[-2], out_h, data.dtype)
+    cols = _interp_coeffs(data.shape[-1], out_w, data.dtype)
+    return _resize_axis(_resize_axis(data, rows, data.ndim - 2), cols, data.ndim - 1)
 
 
 # ---------------------------------------------------------------------------
 # model input packing and augmentation
 # ---------------------------------------------------------------------------
 
+class ShrinkGrid:
+    """The cells that the out x out bilinear shrink of a [rows, cols] array
+    reads: at most 2·out rows and 2·out columns, the union of each axis's
+    `_interp_coeffs` indices. `gather` copies those cells out of any array
+    whose trailing axes have that shape (a log magnitude, a stack of masks),
+    and `model_input` shrinks gathered cells with the blend coefficients
+    re-indexed into the grid, so it equals the shrink of the whole array."""
+
+    def __init__(self, shape: tuple, out: int):
+        self.index, self.coeffs = [], []
+        for n in shape:
+            i0, i1, w = _interp_coeffs(n, out, np.float32)
+            idx = np.union1d(i0, i1)
+            self.index.append(idx)
+            self.coeffs.append((np.searchsorted(idx, i0), np.searchsorted(idx, i1), w))
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """The grid's cells of `a` [..., rows, cols], as a new C-ordered array."""
+        rows, cols = self.index
+        return np.take(np.take(a, rows, axis=-2), cols, axis=-1)
+
+    def model_input(self, cells: np.ndarray) -> np.ndarray:
+        """Shrink gathered cells [|rows|, |cols|] to out x out, standardize,
+        stack 3 identical channels into a [3, out, out] float32 array."""
+        rows, cols = self.coeffs
+        resized = _resize_axis(_resize_axis(cells.astype(np.float32, copy=False), rows, 0), cols, 1)
+        mu = resized.mean()
+        sd = resized.std()
+        if sd < 1e-8:
+            normed = np.zeros_like(resized)
+        else:
+            normed = (resized - mu) / sd
+        return np.stack([normed, normed, normed])
+
+
 def to_model_input(s: Spectrogram, out: int) -> np.ndarray:
     """Shrink to out x out, standardize per input, stack 3 identical channels
-    into a [3, out, out] float32 array."""
-    resized = bilinear_resize_array(s.log_mag.astype(np.float32), out, out)
-    mu = resized.mean()
-    sd = resized.std()
-    if sd < 1e-8:
-        normed = np.zeros_like(resized)
-    else:
-        normed = (resized - mu) / sd
-    return np.stack([normed, normed, normed])
+    into a [3, out, out] float32 array. Only the `ShrinkGrid` cells of the
+    log magnitude are read."""
+    grid = ShrinkGrid(s.log_mag.shape, out)
+    return grid.model_input(grid.gather(s.log_mag))
 
 
 def preprocess(w: Waveform, cfg: FrontendConfig) -> tuple[Spectrogram, np.ndarray]:

@@ -10,9 +10,11 @@ spectrogram resolution and thresholded at its q-quantile for every
 requested q (ties kept, so q = 0 retains everything, and the retained
 fraction is close to 1 - q), giving one uint8 0/1 mask per q.
 `apply_mask(spec, mask, fill)` keeps the log magnitude of the cells the mask
-keeps and sets every other cell to `fill`: 0 (magnitude 1) for the inputs the
-metrics evaluate, the interpretation and, with `1 - mask`, its removal;
-`log(LOG_EPS)` for listening, so masked cells reconstruct as silence.
+keeps and sets every other cell to `fill`: `log(LOG_EPS)` for listening, so
+masked cells reconstruct as silence. Its rule with fill 0 (magnitude 1)
+defines the inputs the metrics evaluate, the interpretation and, with
+`1 - mask`, its removal; `metrics.evaluate` applies that rule to the cells
+the model input's shrink reads, not to whole spectrograms.
 `listenable_interpretation` runs that whole path for one clip and returns
 the waveform, `istft_reconstruct(spec)` of the listening spectrogram;
 `audio.save_wav` writes it.
@@ -56,22 +58,25 @@ def logits_and_maps(model, inputs, batch_size: int = 16) -> tuple:
 
 def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
     """Binary masks [len(qs), *target_shape], uint8: for each quantile order
-    in `qs`, the cells of the nonnegative [h, w] map `m`, bilinearly upsampled
-    to `target_shape`, at or above its q-quantile (type 7; ties retained).
-    The map is upsampled once for all orders and the thresholds come from
-    one `np.quantile` call."""
+    in `qs`, the cells of the finite nonnegative [h, w] map `m`, bilinearly
+    upsampled to `target_shape`, at or above its q-quantile (type 7; ties
+    retained). The map is upsampled once for all orders and the thresholds
+    come from one `np.quantile` call."""
     qs = np.asarray(qs, dtype=np.float64)
     if qs.ndim != 1 or ((qs < 0.0) | (qs > 1.0)).any():
         raise ValueError(f"quantile orders must be a sequence in [0, 1], got {qs}")
-    if m.ndim != 2 or (m < 0).any():
-        raise ValueError(f"a saliency map must be a nonnegative [h, w] array, got shape {m.shape}")
+    if m.ndim != 2 or not np.isfinite(m).all() or (m < 0).any():
+        raise ValueError(f"a saliency map must be a finite nonnegative [h, w] array, "
+                         f"got shape {m.shape}")
     up = bilinear_resize_array(m, *target_shape)
     return (up >= np.quantile(up, qs)[:, None, None]).astype(np.uint8)
 
 
 def apply_mask(s: Spectrogram, mask: np.ndarray, fill: float = 0.0) -> Spectrogram:
     """`s` with the log magnitude of every cell where the 0/1 `mask` (of its
-    shape) is 0 set to `fill`; phase passes through untouched."""
+    shape) is 0 set to `fill`; phase passes through untouched. Called once
+    per listened clip; `metrics.evaluate` masks only the cells its inputs
+    read, with this rule and fill 0."""
     if mask.shape != s.log_mag.shape:
         raise ValueError(f"mask shape {mask.shape} != spectrogram shape {s.log_mag.shape}")
     if not ((mask == 0) | (mask == 1)).all():

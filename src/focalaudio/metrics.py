@@ -5,9 +5,13 @@ unchanged when the classifier sees the interpretation instead of the input.
 Faithfulness (FA) is the drop in predicted-class probability when the
 interpretation is removed from the input. Both are computed in
 log-spectrogram space: the interpretation keeps the log magnitude where the
-mask is 1 and its removal where it is 0, both made by `interpret.apply_mask`
-from the one uint8 mask with the default fill 0 elsewhere, and each goes
-through the identical resize/standardize path as the original input.
+mask is 1 and its removal where it is 0, with fill 0 elsewhere
+(`interpret.apply_mask`'s rule), and each goes through the same shrink,
+standardization and stacking as the original input. `evaluate` masks only
+the cells that shrink reads, an `audio.ShrinkGrid` of the log magnitude and
+of the clip's masks gathered once per clip, so its inputs equal
+`to_model_input(apply_mask(spec, mask))` and the same of `1 - mask` bit for
+bit, with no masked spectrogram built at full resolution.
 
 `evaluate` is the one evaluation path: it returns one `Evaluation`, whose
 arrays hold a row per clip and a column per q, and `quantile_sweep` averages
@@ -37,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .audio import to_model_input
-from .interpret import apply_mask, logits_and_maps, threshold_mask
+from .audio import ShrinkGrid, to_model_input
+from .interpret import logits_and_maps, threshold_mask
 
 
 @dataclass
@@ -104,11 +108,14 @@ def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
     preds = np.argmax(probs, axis=-1)
 
     def masked_inputs():
-        # per clip and q: the interpretation, then its removal
+        # per clip and q: the interpretation, then its removal, built from
+        # the cells the shrink reads
         for spec, m in zip(clips, maps):
-            for mask in threshold_mask(m, qs, spec.log_mag.shape):
-                yield to_model_input(apply_mask(spec, mask), out=input_size)
-                yield to_model_input(apply_mask(spec, 1 - mask), out=input_size)
+            grid = ShrinkGrid(spec.log_mag.shape, input_size)
+            cells = grid.gather(spec.log_mag)
+            for keep in grid.gather(threshold_mask(m, qs, spec.log_mag.shape)) == 1:
+                yield grid.model_input(np.where(keep, cells, np.float32(0)))
+                yield grid.model_input(np.where(keep, np.float32(0), cells))
 
     masked, _ = logits_and_maps(model, masked_inputs())
     masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)

@@ -8,7 +8,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
+from focalaudio import audio
 from focalaudio.audio import (
     AUGMENT_PROB,
     HOP_LENGTH,
@@ -16,6 +18,7 @@ from focalaudio.audio import (
     N_FFT,
     WIN_LENGTH,
     FrontendConfig,
+    Spectrogram,
     Waveform,
     WavFormatError,
     augment,
@@ -169,7 +172,24 @@ class TestResample:
     def test_identity_when_equal(self):
         w = sine(440, 0.5, 16000)
         out = resample(w)
+        assert out.samples is not w.samples
         np.testing.assert_array_equal(out.samples, w.samples)
+
+    @pytest.mark.parametrize("rate", [8000, 22050, 44100, 48000])
+    def test_matches_scipys_own_filter_design(self, rate):
+        w = Waveform(RNG.uniform(-0.5, 0.5, rate // 2 + 7).astype(np.float32), rate)
+        g = np.gcd(16000, rate)
+        ref = resample_poly(w.samples.astype(np.float64), 16000 // g, rate // g)
+        n = round(w.samples.size * 16000 / rate)
+        np.testing.assert_array_equal(resample(w).samples, ref[:n].astype(np.float32))
+
+    def test_cached_filter_is_read_only_and_left_unscaled(self):
+        resample(sine(440, 0.1, 44100))
+        h = audio._lowpass(441)  # 44.1 kHz -> 16 kHz is up 160, down 441
+        assert h.size == 20 * 441 + 1 and not h.flags.writeable
+        before = h.copy()
+        resample(sine(440, 0.1, 44100))
+        np.testing.assert_array_equal(audio._lowpass(441), before)
 
     def test_sine_peak_survives(self):
         w = resample(sine(1000, 5.0, 44100))
@@ -350,6 +370,20 @@ class TestModelInput:
         x = to_model_input(s, out=513)[0]
         ref = (s.log_mag - s.log_mag.mean()) / s.log_mag.std()
         np.testing.assert_allclose(x, ref, atol=1e-4)
+
+    @pytest.mark.parametrize("frames", [1, 87, 431])
+    @pytest.mark.parametrize("out", [1, 8, 96, 224])
+    def test_reads_only_the_shrink_grid_and_matches_the_full_resize(self, out, frames):
+        # the full-resolution definition: shrink the whole log magnitude,
+        # standardize, stack; the grid path must give the same bits
+        log_mag = RNG.normal(-3.0, 2.0, (N_FFT // 2 + 1, frames)).astype(np.float32)
+        s = Spectrogram(log_mag, np.zeros_like(log_mag), num_samples=HOP_LENGTH * frames)
+        resized = bilinear_resize_array(log_mag, out, out)
+        sd = resized.std()
+        normed = (resized - resized.mean()) / sd if sd >= 1e-8 else np.zeros_like(resized)
+        x = to_model_input(s, out=out)
+        assert x.dtype == np.float32 and x.shape == (3, out, out)
+        np.testing.assert_array_equal(x, np.stack([normed, normed, normed]))
 
     def test_preprocess_resamples(self):
         w = sine(440, 5.0, 44100)

@@ -43,6 +43,15 @@ class TestThresholdMask:
         with pytest.raises(ValueError, match="nonnegative \\[h, w\\] array"):
             threshold_mask(m, (0.5,), (6, 6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_maps(self, bad):
+        # NaN compares false with 0, so only a finiteness check catches it;
+        # unchecked, it gave all-zero masks and inf gave NaN cells
+        m = np.ones((3, 3))
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite nonnegative \\[h, w\\] array"):
+            threshold_mask(m, (0.5,), (6, 6))
+
 
 def test_mask_entries_other_than_zero_and_one_are_rejected():
     spec = tone_spectrogram()

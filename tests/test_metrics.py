@@ -15,6 +15,7 @@ import pytest
 from focalaudio import audio, data, interpret, metrics, training
 from focalaudio.audio import FrontendConfig
 from focalaudio.focalnet import FocalNet, FocalNetConfig
+from focalaudio.tensor import Tensor
 
 Q = (0.1, 0.3, 0.5, 0.7, 0.9)
 INPUT_SIZE = 96
@@ -107,6 +108,58 @@ def test_sweep_forward_count(synth, n_clips, qs):
     assert len(batches) == expected
     assert sum(batches) == n_clips * (1 + 2 * len(qs))
     assert max(batches) <= 16
+
+
+class RecordingModel:
+    """Records every batch its forward sees. Its modulator is the input
+    sampled every 12 cells (at 96x96 an [8, 8] map), squared so it is
+    nonnegative, or all ones for a constant map."""
+
+    def __init__(self, constant_map: bool):
+        self.constant_map = constant_map
+        self.batches = []
+
+    def forward(self, x):
+        self.batches.append(x.copy())
+        sampled = x[:, :, ::12, ::12].astype(np.float64)
+        modulator = np.ones_like(sampled) if self.constant_map else sampled ** 2
+        return Tensor(x.mean(axis=(2, 3))[:, :2]), modulator
+
+
+@pytest.mark.parametrize("seconds, constant_map, qs", [
+    (1.0, False, (0.0, 0.3, 0.9, 1.0)),  # 513 x 87: fewer frames than the side
+    (5.0, False, (0.1, 0.5, 0.9)),  # 513 x 431
+    (1.0, True, (0.0, 0.5, 1.0)),
+], ids=["513x87", "513x431", "constant_map"])
+def test_masked_inputs_match_the_full_resolution_path(seconds, constant_map, qs):
+    rng = np.random.default_rng(7)
+    clips = [audio.stft(audio.Waveform(rng.uniform(-0.5, 0.5, int(16000 * seconds)), 16000))
+             for _ in range(2)]
+    model = RecordingModel(constant_map)
+    metrics.evaluate(model, clips, qs, INPUT_SIZE)
+    inputs, masked = model.batches[0], np.concatenate(model.batches[1:])
+    _, maps = interpret.logits_and_maps(RecordingModel(constant_map), inputs)
+    expected = []
+    for spec, m in zip(clips, maps):
+        for mask in interpret.threshold_mask(m, qs, spec.log_mag.shape):
+            for keep in (mask, 1 - mask):
+                expected.append(audio.to_model_input(interpret.apply_mask(spec, keep), INPUT_SIZE))
+    assert masked.shape == (len(clips) * 2 * len(qs), 3, INPUT_SIZE, INPUT_SIZE)
+    np.testing.assert_array_equal(masked, np.stack(expected))
+
+
+@pytest.mark.parametrize("n_clips, qs", [(1, Q), (3, (0.5,))])
+def test_evaluate_packs_each_clip_through_to_model_input_once(synth, monkeypatch, n_clips, qs):
+    model, specs, _, _ = synth
+    calls = []
+
+    def counting(s, out):
+        calls.append(out)
+        return audio.to_model_input(s, out)
+
+    monkeypatch.setattr(metrics, "to_model_input", counting)
+    metrics.evaluate(model, specs[:n_clips], qs, INPUT_SIZE)
+    assert calls == [INPUT_SIZE] * n_clips
 
 
 def test_evaluate_accuracy_and_predict_batch_agree(synth):
