@@ -65,14 +65,16 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
     against the audio files under `dataset_root`/audio.
 
     Raises with a list of offending rows, by CSV line number, on missing
-    files, duplicate filenames, non-integer or out-of-range folds or labels;
-    missing columns are reported against the header, line 1.
+    files, duplicate filenames or clip ids (a clip is named by its file's
+    stem, so `dog.wav` and `a/dog.wav` would share one), non-integer or
+    out-of-range folds or labels; missing columns are reported against the
+    header, line 1.
     """
     root = Path(dataset_root)
     audio_dir = root / "audio" if (root / "audio").is_dir() else root
     problems = []
     records = []
-    seen = set()
+    first_row = {}  # clip id (the file's stem) -> (line, filename) of its first row
     with open(meta_csv, newline="") as f:
         reader = csv.DictReader(f)
         required = {"filename", "fold", "target", "category"}
@@ -86,10 +88,14 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
                 problems.append(f"line {i}: fold {row['fold']!r} or label {row['target']!r} "
                                 "is not an integer")
                 continue
-            if fname in seen:
-                problems.append(f"line {i}: duplicate filename {fname}")
+            clip_id = Path(fname).stem
+            if clip_id in first_row:  # a repeated filename repeats its stem too
+                j, other = first_row[clip_id]
+                what = (f"duplicate filename {fname}" if other == fname
+                        else f"clip id {clip_id} of {fname} repeats line {j} ({other})")
+                problems.append(f"line {i}: {what}")
                 continue
-            seen.add(fname)
+            first_row[clip_id] = (i, fname)
             if fold not in (1, 2, 3, 4, 5):
                 problems.append(f"line {i}: fold {fold} outside 1..5")
             if not 0 <= target < num_classes:
@@ -99,7 +105,7 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
                 problems.append(f"line {i}: missing audio file {path}")
             records.append(ClipRecord(
                 path=str(path), label=target, label_name=row["category"],
-                fold=fold, clip_id=Path(fname).stem,
+                fold=fold, clip_id=clip_id,
             ))
     if problems:
         raise ValueError("manifest validation failed:\n  " + "\n  ".join(problems))

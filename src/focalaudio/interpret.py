@@ -8,16 +8,15 @@ returns, nonnegative and at feature resolution. A second map source
 replaces that one function. Each map is bilinearly upsampled once to full
 spectrogram resolution and thresholded at its q-quantile for every
 requested q (ties kept, so q = 0 retains everything, and the retained
-fraction is close to 1 - q), giving one uint8 0/1 mask per q.
-`apply_mask(spec, mask, fill)` keeps the log magnitude of the cells the mask
-keeps and sets every other cell to `fill`: `log(LOG_EPS)` for listening, so
-masked cells reconstruct as silence. Its rule with fill 0 (magnitude 1)
-defines the inputs the metrics evaluate, the interpretation and, with
-`1 - mask`, its removal; `metrics.evaluate` applies that rule to the cells
-the model input's shrink reads, not to whole spectrograms.
-`listenable_interpretation` runs that whole path for one clip and returns
-the waveform, `istft_reconstruct(spec)` of the listening spectrogram;
-`audio.save_wav` writes it.
+fraction is close to 1 - q), giving one boolean mask per q, True where a
+cell is kept. `apply_mask(log_mag, keep, fill)` is the one fill rule: it
+keeps the log magnitude where `keep` is True and sets every other cell to
+`fill`. `metrics.evaluate` calls it with fill 0 (magnitude 1) on the cells
+the model input's shrink reads, with the mask for the interpretation and
+its negation for the removal; `listenable_interpretation` calls it with
+`log(LOG_EPS)` on the whole spectrogram, so masked cells reconstruct as
+silence, and returns `istft_reconstruct` of the result; `audio.save_wav`
+writes it.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .audio import (LOG_EPS, Spectrogram, Waveform, bilinear_resize_array, istft_reconstruct,
-                    preprocess)
+from .audio import LOG_EPS, Waveform, bilinear_resize_array, istft_reconstruct, preprocess
 from .tensor import no_grad
 
 
@@ -57,11 +55,11 @@ def logits_and_maps(model, inputs, batch_size: int = 16) -> tuple:
 
 
 def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
-    """Binary masks [len(qs), *target_shape], uint8: for each quantile order
-    in `qs`, the cells of the finite nonnegative [h, w] map `m`, bilinearly
-    upsampled to `target_shape`, at or above its q-quantile (type 7; ties
-    retained). The map is upsampled once for all orders and the thresholds
-    come from one `np.quantile` call."""
+    """Boolean masks [len(qs), *target_shape], True where a cell is kept: for
+    each quantile order in `qs`, the cells of the finite nonnegative [h, w]
+    map `m`, bilinearly upsampled to `target_shape`, at or above its
+    q-quantile (type 7; ties retained). The map is upsampled once for all
+    orders and the thresholds come from one `np.quantile` call."""
     qs = np.asarray(qs, dtype=np.float64)
     if qs.ndim != 1 or ((qs < 0.0) | (qs > 1.0)).any():
         raise ValueError(f"quantile orders must be a sequence in [0, 1], got {qs}")
@@ -69,24 +67,24 @@ def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
         raise ValueError(f"a saliency map must be a finite nonnegative [h, w] array, "
                          f"got shape {m.shape}")
     up = bilinear_resize_array(m, *target_shape)
-    return (up >= np.quantile(up, qs)[:, None, None]).astype(np.uint8)
+    return up >= np.quantile(up, qs)[:, None, None]
 
 
-def apply_mask(s: Spectrogram, mask: np.ndarray, fill: float = 0.0) -> Spectrogram:
-    """`s` with the log magnitude of every cell where the 0/1 `mask` (of its
-    shape) is 0 set to `fill`; phase passes through untouched. Called once
-    per listened clip; `metrics.evaluate` masks only the cells its inputs
-    read, with this rule and fill 0."""
-    if mask.shape != s.log_mag.shape:
-        raise ValueError(f"mask shape {mask.shape} != spectrogram shape {s.log_mag.shape}")
-    if not ((mask == 0) | (mask == 1)).all():
-        raise ValueError("mask entries must be 0 or 1")
-    return replace(s, log_mag=np.where(mask == 1, s.log_mag, np.float32(fill)))
+def apply_mask(log_mag: np.ndarray, keep: np.ndarray, fill) -> np.ndarray:
+    """The float32 `log_mag` where the boolean `keep` (of its shape) is
+    True and `fill`, as float32, everywhere else: the one fill rule, for
+    the model's inputs (fill 0) and for listening (fill log(LOG_EPS))."""
+    if log_mag.dtype != np.float32 or keep.dtype != bool:
+        raise ValueError(f"apply_mask needs a float32 log magnitude and a boolean mask, "
+                         f"got {log_mag.dtype} and {keep.dtype}")
+    if keep.shape != log_mag.shape:
+        raise ValueError(f"mask shape {keep.shape} != log magnitude shape {log_mag.shape}")
+    return np.where(keep, log_mag, np.float32(fill))
 
 
 def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
-    """Full pipeline: preprocess, forward, mask to log(LOG_EPS), reconstruct."""
+    """Full pipeline: preprocess, forward, `apply_mask` to log(LOG_EPS), reconstruct."""
     spec, x = preprocess(clip, frontend)
     _, [m] = logits_and_maps(model, [x])
     [mask] = threshold_mask(m, [q], spec.log_mag.shape)
-    return istft_reconstruct(apply_mask(spec, mask, fill=np.log(LOG_EPS)))
+    return istft_reconstruct(replace(spec, log_mag=apply_mask(spec.log_mag, mask, np.log(LOG_EPS))))

@@ -4,14 +4,14 @@ Fidelity-to-input (FID-I) is the fraction of clips whose predicted class is
 unchanged when the classifier sees the interpretation instead of the input.
 Faithfulness (FA) is the drop in predicted-class probability when the
 interpretation is removed from the input. Both are computed in
-log-spectrogram space: the interpretation keeps the log magnitude where the
-mask is 1 and its removal where it is 0, with fill 0 elsewhere
-(`interpret.apply_mask`'s rule), and each goes through the same shrink,
+log-spectrogram space: the interpretation is `interpret.apply_mask` of the
+log magnitude with the clip's boolean mask and fill 0, its removal the same
+with the negated mask, and each goes through the same shrink,
 standardization and stacking as the original input. `evaluate` masks only
 the cells that shrink reads, an `audio.ShrinkGrid` of the log magnitude and
-of the clip's masks gathered once per clip, so its inputs equal
-`to_model_input(apply_mask(spec, mask))` and the same of `1 - mask` bit for
-bit, with no masked spectrogram built at full resolution.
+of the clip's masks gathered once per clip, so its inputs equal the shrink
+of the full-resolution masked spectrograms bit for bit, with none of them
+built.
 
 `evaluate` is the one evaluation path: it returns one `Evaluation`, whose
 arrays hold a row per clip and a column per q, and `quantile_sweep` averages
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import tensor as T
 from .audio import ShrinkGrid, to_model_input
-from .interpret import logits_and_maps, threshold_mask
+from .interpret import apply_mask, logits_and_maps, threshold_mask
 
 
 @dataclass
@@ -113,9 +113,9 @@ def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
         for spec, m in zip(clips, maps):
             grid = ShrinkGrid(spec.log_mag.shape, input_size)
             cells = grid.gather(spec.log_mag)
-            for keep in grid.gather(threshold_mask(m, qs, spec.log_mag.shape)) == 1:
-                yield grid.model_input(np.where(keep, cells, np.float32(0)))
-                yield grid.model_input(np.where(keep, np.float32(0), cells))
+            for keep in grid.gather(threshold_mask(m, qs, spec.log_mag.shape)):
+                yield grid.model_input(apply_mask(cells, keep, 0.0))
+                yield grid.model_input(apply_mask(cells, ~keep, 0.0))
 
     masked, _ = logits_and_maps(model, masked_inputs())
     masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)

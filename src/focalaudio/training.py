@@ -283,8 +283,8 @@ def _clip_seed(seed: int, epoch: int, clip_id: str) -> list:
     return [seed, epoch, zlib.crc32(str(clip_id).encode())]
 
 
-def evaluate_accuracy(model: FocalNet, data: ClipSet, batch_size: int = 16) -> float:
-    logits, _ = logits_and_maps(model, data.inputs, batch_size)
+def evaluate_accuracy(model: FocalNet, data: ClipSet) -> float:
+    logits, _ = logits_and_maps(model, data.inputs)
     return accuracy(np.argmax(logits, axis=-1), data.labels)
 
 
@@ -365,7 +365,7 @@ def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,
                 log_lines.append(line)
                 if log_file is not None:
                     log_file.write(json.dumps(line) + "\n")
-            val_acc = evaluate_accuracy(model, val, batch_size=config.batch_size)
+            val_acc = evaluate_accuracy(model, val)
             history.append({
                 "epoch": epoch,
                 "train_loss": float(np.mean(losses)),

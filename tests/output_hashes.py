@@ -60,8 +60,7 @@ def sha(*parts) -> str:
 
 def masks(maps, shapes) -> np.ndarray:
     """[n, |Q|, *shape] boolean masks of the [h, w] maps, as `evaluate` thresholds them."""
-    return np.stack([interpret.threshold_mask(m, Q, shape) for m, shape in zip(maps, shapes)]
-                    ).astype(bool)
+    return np.stack([interpret.threshold_mask(m, Q, shape) for m, shape in zip(maps, shapes)])
 
 
 def columns(rows: list) -> dict:

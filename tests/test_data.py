@@ -53,6 +53,19 @@ class TestIngest:
             "line 7: fold 'x' or label '1' is not an integer",
         ]
 
+    def test_repeated_clip_id_reported_with_both_lines(self, tmp_path):
+        # a clip is named by its file's stem, so two files in different
+        # directories would share one id, and with it one augmentation seed
+        (tmp_path / "audio" / "sub").mkdir(parents=True)
+        rows = [("dog.wav", 1, 0, "dog"),       # line 2
+                ("cat.wav", 1, 1, "cat"),       # line 3
+                ("sub/dog.wav", 2, 0, "dog")]   # line 4
+        meta = write_meta(tmp_path, rows, audio=("dog.wav", "cat.wav", "sub/dog.wav"))
+        with pytest.raises(ValueError) as err:
+            data.ingest(tmp_path, meta, num_classes=4)
+        assert [s.strip() for s in str(err.value).splitlines()[1:]] == [
+            "line 4: clip id dog of sub/dog.wav repeats line 2 (dog.wav)"]
+
     def test_missing_columns_reported_on_header_line(self, tmp_path):
         meta = write_meta(tmp_path, [("a.wav", 1, 0)], header=["filename", "fold", "target"],
                           audio=("a.wav",))

@@ -1,6 +1,8 @@
 """Mask path: the logits-and-maps seam, modulation maps (single and
 batched), quantile thresholding, masking for the model and for listening."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ class TestThresholdMask:
     def test_retained_fraction_close_to_one_minus_q(self):
         qs = (0.0, 0.25, 0.5, 0.9)
         masks = threshold_mask(RNG.uniform(0.0, 2.0, (12, 12)), qs, (513, 87))
-        assert masks.shape == (len(qs), 513, 87) and masks.dtype == np.uint8
+        assert masks.shape == (len(qs), 513, 87) and masks.dtype == bool
         cells = 513 * 87
         for q, mk in zip(qs, masks):  # one mask per q, in the order given
             assert abs(mk.mean() - (1.0 - q)) <= 2.0 / cells, q
@@ -53,28 +55,31 @@ class TestThresholdMask:
             threshold_mask(m, (0.5,), (6, 6))
 
 
-def test_mask_entries_other_than_zero_and_one_are_rejected():
-    spec = tone_spectrogram()
-    mask = np.ones(spec.log_mag.shape, dtype=np.uint8)
-    apply_mask(spec, mask)
-    mask[2, 3] = 2
+@pytest.mark.parametrize("log_mag_dtype, keep_dtype", [
+    (np.float32, np.uint8), (np.float32, np.float32), (np.float64, bool)],
+    ids=["uint8_mask", "float_mask", "float64_log_mag"])
+def test_arrays_other_than_float32_and_boolean_are_rejected(log_mag_dtype, keep_dtype):
+    # a numeric 0/1 mask is refused rather than read as keep-where-1
+    log_mag = tone_spectrogram().log_mag
+    keep = np.ones(log_mag.shape, dtype=bool)
+    np.testing.assert_array_equal(apply_mask(log_mag, keep, 0.0), log_mag)
     for fill in (0.0, np.log(LOG_EPS)):
-        with pytest.raises(ValueError, match="0 or 1"):
-            apply_mask(spec, mask, fill=fill)
+        with pytest.raises(ValueError, match="float32 log magnitude and a boolean mask"):
+            apply_mask(log_mag.astype(log_mag_dtype), keep.astype(keep_dtype), fill)
 
 
 def test_mask_of_another_shape_is_rejected():
-    spec = tone_spectrogram()
-    rows, cols = spec.log_mag.shape
+    log_mag = tone_spectrogram().log_mag
+    rows, cols = log_mag.shape
     with pytest.raises(ValueError, match="mask shape"):
-        apply_mask(spec, np.ones((rows, cols - 1), dtype=np.uint8))
+        apply_mask(log_mag, np.ones((rows, cols - 1), dtype=bool), 0.0)
 
 
 def test_interpretation_and_removal_partition_the_spectrogram():
     spec = tone_spectrogram()
-    mask = RNG.integers(0, 2, spec.log_mag.shape).astype(np.uint8)
-    kept = apply_mask(spec, mask).log_mag
-    removed = apply_mask(spec, 1 - mask).log_mag
+    mask = RNG.integers(0, 2, spec.log_mag.shape).astype(bool)
+    kept = apply_mask(spec.log_mag, mask, 0.0)
+    removed = apply_mask(spec.log_mag, ~mask, 0.0)
     # each cell is kept by exactly one of the two, so the sum is exact
     np.testing.assert_array_equal(kept + removed, spec.log_mag)
     assert ((kept == 0) | (removed == 0)).all()
@@ -82,9 +87,9 @@ def test_interpretation_and_removal_partition_the_spectrogram():
 
 def test_all_masked_listening_spectrogram_is_silent():
     spec = tone_spectrogram()
-    none_kept = np.zeros(spec.log_mag.shape, dtype=np.uint8)
-    masked = apply_mask(spec, none_kept, fill=np.log(LOG_EPS))
-    back = istft_reconstruct(masked)
+    none_kept = np.zeros(spec.log_mag.shape, dtype=bool)
+    masked = apply_mask(spec.log_mag, none_kept, np.log(LOG_EPS))
+    back = istft_reconstruct(replace(spec, log_mag=masked))
     full = istft_reconstruct(spec)
     rms = lambda w: np.sqrt(np.mean(w.samples.astype(np.float64) ** 2))  # noqa: E731
     assert rms(back) < 1e-3 * rms(full)

@@ -9,6 +9,8 @@ sample_rate=16000, seed=0)`, train split (8 clips, 513x87 spectrograms),
 an untrained seed-0 desk model at 96x96.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,21 @@ def test_listenable_rms_matches_reference(synth):
         wav = interpret.listenable_interpretation(audio.load_wav(path), model, frontend, q=0.9)
         rms.append(float(np.sqrt(np.mean(wav.samples.astype(np.float64) ** 2))))
     np.testing.assert_allclose(rms, REF_RMS_Q09, rtol=1e-5, atol=0)
+
+
+def test_listening_waveform_is_the_masked_spectrogram_reconstructed(synth):
+    # built here with its own np.where, so the fill rule is checked, not reused
+    model, _, paths, frontend = synth
+    for path in paths[::3]:
+        wav = audio.load_wav(path)
+        spec, x = audio.preprocess(wav, frontend)
+        _, [m] = interpret.logits_and_maps(model, [x])
+        [keep] = interpret.threshold_mask(m, [0.9], spec.log_mag.shape)
+        silent = np.float32(np.log(audio.LOG_EPS))
+        want = audio.istft_reconstruct(replace(spec, log_mag=np.where(keep, spec.log_mag, silent)))
+        got = interpret.listenable_interpretation(wav, model, frontend, q=0.9)
+        assert got.sample_rate == want.sample_rate
+        np.testing.assert_array_equal(got.samples, want.samples)
 
 
 def test_records_give_the_sweep_and_do_not_depend_on_batch_company(synth):
@@ -142,8 +159,9 @@ def test_masked_inputs_match_the_full_resolution_path(seconds, constant_map, qs)
     expected = []
     for spec, m in zip(clips, maps):
         for mask in interpret.threshold_mask(m, qs, spec.log_mag.shape):
-            for keep in (mask, 1 - mask):
-                expected.append(audio.to_model_input(interpret.apply_mask(spec, keep), INPUT_SIZE))
+            for keep in (mask, ~mask):
+                masked_spec = replace(spec, log_mag=np.where(keep, spec.log_mag, np.float32(0)))
+                expected.append(audio.to_model_input(masked_spec, INPUT_SIZE))
     assert masked.shape == (len(clips) * 2 * len(qs), 3, INPUT_SIZE, INPUT_SIZE)
     np.testing.assert_array_equal(masked, np.stack(expected))
 
@@ -162,10 +180,32 @@ def test_evaluate_packs_each_clip_through_to_model_input_once(synth, monkeypatch
     assert calls == [INPUT_SIZE] * n_clips
 
 
+@pytest.mark.parametrize("n_clips, qs", [(1, Q), (3, (0.5,))])
+def test_evaluate_fills_every_masked_input_through_apply_mask(synth, monkeypatch, n_clips, qs):
+    model, specs, _, _ = synth
+    fills = []
+
+    def counting(log_mag, keep, fill):
+        fills.append(fill)
+        return interpret.apply_mask(log_mag, keep, fill)
+
+    monkeypatch.setattr(metrics, "apply_mask", counting)
+    metrics.evaluate(model, specs[:n_clips], qs, INPUT_SIZE)
+    assert fills == [0.0] * (2 * len(qs) * n_clips)
+
+
 def test_evaluate_accuracy_and_predict_batch_agree(synth):
     model, specs, _, _ = synth
     inputs = np.stack([audio.to_model_input(s, out=INPUT_SIZE) for s in specs])
     labels = np.repeat(np.arange(4), 2)  # the train split is class-major
     clip_set = training.ClipSet(inputs, labels, [f"c{i}" for i in range(8)])
     expected = metrics.accuracy(np.asarray(REF_PREDICTIONS), labels)
-    assert training.evaluate_accuracy(model, clip_set, batch_size=5) == expected == 0.375
+    assert training.evaluate_accuracy(model, clip_set) == expected == 0.375
+
+
+def test_accuracy_is_the_exact_match_rate():
+    assert metrics.accuracy([1, 0, 2, 2], np.array([1, 1, 2, 0])) == 0.5
+    with pytest.raises(ValueError, match="empty prediction set"):
+        metrics.accuracy([], [])
+    with pytest.raises(ValueError, match="equal length"):
+        metrics.accuracy([1, 0, 2], [1, 0])

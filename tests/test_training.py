@@ -634,7 +634,7 @@ class TestEvaluateAccuracy:
         _, val = tiny_fit_data()
         with no_grad():
             want = np.mean(np.argmax(net(Tensor(val.inputs))[0].data, axis=-1) == val.labels)
-        assert training.evaluate_accuracy(net, val, batch_size=3) == want
+        assert training.evaluate_accuracy(net, val) == want
 
     def test_empty_set_raises(self, fitted):
         net, _ = fitted
