@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
 SAMPLE_RATE = 16000
@@ -188,16 +189,7 @@ def load_wav(path) -> Waveform:
 
 def save_wav(w: Waveform, path) -> None:
     """Write a mono float32 WAV (a lossless round trip through `load_wav`)."""
-    payload = w.samples.astype("<f4").tobytes()
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF", 36 + len(payload), b"WAVE",
-        b"fmt ", 16, 3, 1, w.sample_rate, w.sample_rate * 4, 4, 32,
-        b"data", len(payload),
-    )
-    with open(path, "wb") as f:
-        f.write(hdr)
-        f.write(payload)
+    wavfile.write(path, w.sample_rate, w.samples)
 
 
 # ---------------------------------------------------------------------------

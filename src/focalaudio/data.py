@@ -70,8 +70,7 @@ def ingest(dataset_root, meta_csv, num_classes: int = 50) -> DatasetManifest:
     out-of-range folds or labels; missing columns are reported against the
     header, line 1.
     """
-    root = Path(dataset_root)
-    audio_dir = root / "audio" if (root / "audio").is_dir() else root
+    audio_dir = Path(dataset_root) / "audio"
     problems = []
     records = []
     first_row = {}  # clip id (the file's stem) -> (line, filename) of its first row

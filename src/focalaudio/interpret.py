@@ -1,9 +1,11 @@
 """From the model's modulator to mask, interpretation spectrogram and audio.
 
-`logits_and_maps(model, inputs)` is the one place a model is evaluated for
-scoring or interpretation: it runs no_grad forwards over chunks of at most
-16 stacked inputs and returns the logits and one saliency map per input,
-the channel-wise L2 norm (`modulation_map`) of the modulator the forward
+`predict(model, inputs)` is the one place a model is evaluated for scoring
+or interpretation, and the one place a class and a probability are read:
+it runs no_grad forwards over chunks of at most 16 stacked inputs and
+returns, per input, the class (the argmax of its logits), the class
+probabilities (`tensor.softmax` of those logits) and one saliency map, the
+channel-wise L2 norm (`modulation_map`) of the modulator the forward
 returns, nonnegative and at feature resolution. A second map source
 replaces that one function. Each map is bilinearly upsampled once to full
 spectrogram resolution and thresholded at its q-quantile for every
@@ -27,7 +29,7 @@ from itertools import islice
 import numpy as np
 
 from .audio import LOG_EPS, Waveform, bilinear_resize_array, istft_reconstruct, preprocess
-from .tensor import no_grad
+from .tensor import no_grad, softmax
 
 
 def modulation_map(modulator: np.ndarray) -> np.ndarray:
@@ -36,22 +38,25 @@ def modulation_map(modulator: np.ndarray) -> np.ndarray:
     return np.sqrt((modulator.astype(np.float64) ** 2).sum(axis=1))
 
 
-def logits_and_maps(model, inputs, batch_size: int = 16) -> tuple:
-    """(logits [N, K], maps [N, h, w]) of `inputs`, an iterable of [3, S, S]
-    model inputs, from no_grad forwards of at most `batch_size` stacked
-    inputs; each chunk's maps are the `modulation_map` of its modulator."""
+def predict(model, inputs, batch_size: int = 16) -> tuple:
+    """(classes [N] int64, probabilities [N, K], maps [N, h, w]) of `inputs`,
+    an iterable of [3, S, S] model inputs, from no_grad forwards of at most
+    `batch_size` stacked inputs. Each chunk's classes are the argmax of its
+    logits, its probabilities the `softmax` of those logits and its maps the
+    `modulation_map` of its modulator."""
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    logits, maps = [], []
+    classes, probs, maps = [], [], []
     inputs = iter(inputs)
     while chunk := list(islice(inputs, batch_size)):
         with no_grad():
-            out, modulator = model.forward(np.stack(chunk))
-        logits.append(out.data)
+            logits, modulator = model.forward(np.stack(chunk))
+            probs.append(softmax(logits).data)
+        classes.append(np.argmax(logits.data, axis=-1))
         maps.append(modulation_map(modulator))
-    if not logits:
-        raise ValueError("empty input set: no logits or maps to compute")
-    return np.concatenate(logits), np.concatenate(maps)
+    if not classes:
+        raise ValueError("empty input set: no predictions or maps to compute")
+    return np.concatenate(classes).astype(np.int64), np.concatenate(probs), np.concatenate(maps)
 
 
 def threshold_mask(m: np.ndarray, qs, target_shape: tuple) -> np.ndarray:
@@ -85,6 +90,6 @@ def apply_mask(log_mag: np.ndarray, keep: np.ndarray, fill) -> np.ndarray:
 def listenable_interpretation(clip: Waveform, model, frontend, q: float) -> Waveform:
     """Full pipeline: preprocess, forward, `apply_mask` to log(LOG_EPS), reconstruct."""
     spec, x = preprocess(clip, frontend)
-    _, [m] = logits_and_maps(model, [x])
+    _, _, [m] = predict(model, [x])
     [mask] = threshold_mask(m, [q], spec.log_mag.shape)
     return istft_reconstruct(replace(spec, log_mag=apply_mask(spec.log_mag, mask, np.log(LOG_EPS))))

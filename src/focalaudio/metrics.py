@@ -17,13 +17,15 @@ built.
 arrays hold a row per clip and a column per q, and `quantile_sweep` averages
 its columns into a `SweepResult`.
 Neither writes files; serializing results is left to the caller. Every
-forward goes through `interpret.logits_and_maps`, which runs no_grad
-forwards in chunks of at most 16 inputs and returns logits and saliency
-maps. `evaluate` calls it twice: on the clips, whose maps become the masks,
-then on every clip's 2·|q| interpretation and removal inputs, whose maps it
-does not read; for n clips that is ceil(n/16) + ceil(2·|q|·n/16) forwards.
-`predict_batch` and `training.evaluate_accuracy` read only its logits.
-Nothing here reads the model beyond what `logits_and_maps` returns.
+forward goes through `interpret.predict`, which runs no_grad forwards in
+chunks of at most 16 inputs and returns each input's class, its class
+probabilities and its saliency map: the one place a class (the argmax of
+the logits) and a probability are read. `evaluate` calls it twice: on the
+clips, whose maps become the masks, then on every clip's 2·|q|
+interpretation and removal inputs, whose maps it does not read; for n
+clips that is ceil(n/16) + ceil(2·|q|·n/16) forwards. `predict_batch` and
+`training.evaluate_accuracy` read only its classes. This module reaches
+neither a model nor the tape beyond what `predict` returns.
 
 Probabilities are softmax outputs of the scaled-cosine head; the additive
 margin used in training plays no role here.
@@ -40,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .audio import ShrinkGrid, to_model_input
-from .interpret import apply_mask, logits_and_maps, threshold_mask
+from .interpret import apply_mask, predict, threshold_mask
 
 
 @dataclass
@@ -85,10 +86,9 @@ def accuracy(predictions, labels) -> float:
 
 
 def predict_batch(model, clips, input_size: int, batch_size: int = 16) -> np.ndarray:
-    """Argmax class per clip, batched."""
-    logits, _ = logits_and_maps(model, (to_model_input(s, out=input_size) for s in clips),
-                                batch_size)
-    return np.argmax(logits, axis=-1).astype(np.int64)
+    """`interpret.predict`'s class per clip, batched."""
+    classes, _, _ = predict(model, (to_model_input(s, out=input_size) for s in clips), batch_size)
+    return classes
 
 
 def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
@@ -103,9 +103,7 @@ def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
         raise ValueError("q values must be strictly increasing")
     if not clips:
         raise ValueError("empty clip set")
-    logits, maps = logits_and_maps(model, (to_model_input(s, out=input_size) for s in clips))
-    probs = T.softmax(logits).data
-    preds = np.argmax(probs, axis=-1)
+    preds, probs, maps = predict(model, (to_model_input(s, out=input_size) for s in clips))
 
     def masked_inputs():
         # per clip and q: the interpretation, then its removal, built from
@@ -117,12 +115,13 @@ def evaluate(model, clips, q_list, input_size: int) -> Evaluation:
                 yield grid.model_input(apply_mask(cells, keep, 0.0))
                 yield grid.model_input(apply_mask(cells, ~keep, 0.0))
 
-    masked, _ = logits_and_maps(model, masked_inputs())
-    masked = T.softmax(masked).data.reshape(len(clips), len(qs), 2, -1)
-    removal = np.take_along_axis(masked[:, :, 1], preds[:, None, None], axis=-1)[..., 0]
+    masked_preds, masked_probs, _ = predict(model, masked_inputs())
+    masked_preds = masked_preds.reshape(len(clips), len(qs), 2)
+    masked_probs = masked_probs.reshape(len(clips), len(qs), 2, -1)
+    removal = np.take_along_axis(masked_probs[:, :, 1], preds[:, None, None], axis=-1)[..., 0]
     return Evaluation(qs=qs, predicted=preds,
                       prob_predicted=probs[np.arange(len(clips)), preds].astype(np.float64),
-                      predicted_on_interpretation=np.argmax(masked[:, :, 0], axis=-1),
+                      predicted_on_interpretation=masked_preds[:, :, 0],
                       prob_predicted_on_removal=removal.astype(np.float64))
 
 

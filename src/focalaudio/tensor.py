@@ -2,10 +2,15 @@
 
 A small numpy-backed engine providing exactly the operators the focal
 modulation classifier and its loss need: linear maps, depth-wise 2-d
-convolution, GeLU, layer normalization, global average pooling, softmax and
-the training loss as one fused softmax cross-entropy, plus the ops between
+convolution, GeLU, layer normalization, global average pooling and the
+training loss as one fused softmax cross-entropy, plus the ops between
 them (add, mul, div, sqrt, sum, indexing, reshaping, transposing and
 broadcasting), each with a hand-written backward rule.
+`softmax` is the one function here that records no node: every caller
+reads class probabilities under no_grad, so it has no backward rule and
+refuses an input that requires a gradient in grad mode. It stays in this
+module, returning a `Tensor`, because the benchmark's tracer times it as
+the tensor op `tensor.softmax`.
 Gradients are recorded on a tape of nodes ordered by creation, so `backward`
 is a single reverse sweep. Around the tape sit the parameter containers.
 Signal processing without gradients (the frontend, the masks) works on
@@ -625,18 +630,15 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Stable softmax along the last axis (max-subtracted, hence shift-invariant)."""
+    """Stable softmax along the last axis (max-subtracted, hence shift-invariant).
+    Not a tape op: the result has no node, so in grad mode an input that
+    requires a gradient is refused."""
     x = _as_tensor(x)
+    if _grad_enabled and x.requires_grad:
+        raise ValueError("softmax records no gradient: call it under no_grad")
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        if x.requires_grad:
-            _accum(x, y * (g - (g * y).sum(axis=-1, keepdims=True)))
-
-    return _attach(out, (x,), "softmax", bw)
+    return Tensor(e / e.sum(axis=-1, keepdims=True))
 
 
 def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:

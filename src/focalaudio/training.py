@@ -47,7 +47,7 @@ from . import tensor as T
 from .audio import FrontendConfig, augment
 from .data import ClipSet
 from .focalnet import LOGIT_SCALE, FocalNet, FocalNetConfig, cosine
-from .interpret import logits_and_maps
+from .interpret import predict
 from .metrics import accuracy
 from .tensor import NumericalError, Tensor, backward
 
@@ -284,8 +284,8 @@ def _clip_seed(seed: int, epoch: int, clip_id: str) -> list:
 
 
 def evaluate_accuracy(model: FocalNet, data: ClipSet) -> float:
-    logits, _ = logits_and_maps(model, data.inputs)
-    return accuracy(np.argmax(logits, axis=-1), data.labels)
+    classes, _, _ = predict(model, data.inputs)
+    return accuracy(classes, data.labels)
 
 
 def fit(model: FocalNet, train: ClipSet, val: ClipSet, config: TrainConfig,

@@ -95,7 +95,7 @@ def interpretation_outputs(root: Path) -> dict:
     sweeps = [metrics.quantile_sweep(model, [s], Q, frontend.input_size).entries for s in specs]
     preds = metrics.predict_batch(model, specs, frontend.input_size, batch_size=3)
     listen = [interpret.listenable_interpretation(w, model, frontend, q=0.9) for w in waves]
-    _, maps = interpret.logits_and_maps(
+    _, _, maps = interpret.predict(
         model, (audio.to_model_input(s, out=frontend.input_size) for s in specs))
     return {
         "evaluate_records": (

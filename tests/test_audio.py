@@ -53,6 +53,16 @@ def write_pcm16(path, samples: np.ndarray, channels: int, rate: int):
     path.write_bytes(hdr + payload)
 
 
+def chunk(cid: bytes, body: bytes) -> bytes:
+    return cid + struct.pack("<I", len(body)) + body
+
+
+def riff(*chunks: bytes) -> bytes:
+    """A RIFF/WAVE file of the given chunks, in order."""
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
 def snr_db(ref, est):
     noise = ref - est
     return 10 * np.log10(np.sum(ref**2) / max(np.sum(noise**2), 1e-30))
@@ -103,7 +113,9 @@ class TestWavIO:
         (1, 16000, 16, b"\x00" * 7, "data chunk of 7 bytes .* 16-bit samples at byte 44"),
         (3, 16000, 32, b"\x00" * 6, "data chunk of 6 bytes .* 32-bit samples at byte 44"),
         (1, 0, 16, b"\x00" * 8, "sample rate 0 in fmt chunk at byte 12"),
-    ], ids=["pcm16_odd_bytes", "float32_partial_sample", "zero_rate"])
+        (1, 16000, 8, b"\x00" * 8, r"unsupported codec \(format 1, 8-bit\) at byte 44"),
+        (3, 16000, 32, b"", "empty data chunk at byte 44"),
+    ], ids=["pcm16_odd_bytes", "float32_partial_sample", "zero_rate", "pcm8", "empty_data"])
     def test_malformed_fmt_or_data_names_path_and_byte(self, tmp_path, audio_format, rate,
                                                        bits, payload, check):
         hdr = struct.pack(
@@ -134,6 +146,20 @@ class TestWavIO:
         p = tmp_path / "chan.wav"
         p.write_bytes(hdr + payload)
         with pytest.raises(WavFormatError, match=f"chan.wav: {check}"):
+            load_wav(p)
+
+    @pytest.mark.parametrize("blob, check", [
+        (b"RIFF" + struct.pack("<I", 4) + b"WAVX", "missing WAVE tag at byte 8"),
+        (riff(chunk(b"fmt ", b"\x00" * 14), chunk(b"data", b"\x00" * 4)),
+         "fmt chunk too short at byte 12"),
+        (riff(chunk(b"LIST", b"\x00" * 6), chunk(b"data", b"\x00" * 4)), "no fmt chunk found"),
+        (riff(chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32))),
+         "no data chunk found"),
+    ], ids=["no_wave_tag", "short_fmt", "no_fmt", "no_data"])
+    def test_missing_or_short_chunk_names_path(self, tmp_path, blob, check):
+        p = tmp_path / "chunks.wav"
+        p.write_bytes(blob)
+        with pytest.raises(WavFormatError, match=f"chunks.wav: {check}"):
             load_wav(p)
 
     def test_waveform_validation(self):
@@ -197,6 +223,17 @@ class TestResample:
         peak_bin = int(np.argmax(s.log_mag.mean(axis=1)))
         expect = round(1000 * 1024 / 16000)
         assert abs(peak_bin - expect) <= 1
+
+
+class TestSpectrogram:
+    @pytest.mark.parametrize("log_shape, phase_shape, check", [
+        ((512, 4), (512, 4), r"freq_bins 512 != n_fft/2\+1 = 513"),
+        ((513, 4), (513, 5), "log_mag and phase shapes differ"),
+    ], ids=["bins", "phase_shape"])
+    def test_inconsistent_arrays_rejected(self, log_shape, phase_shape, check):
+        with pytest.raises(ValueError, match=check):
+            Spectrogram(np.zeros(log_shape, np.float32), np.zeros(phase_shape, np.float32),
+                        num_samples=HOP_LENGTH * 4)
 
 
 class TestStft:

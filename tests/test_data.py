@@ -66,6 +66,17 @@ class TestIngest:
         assert [s.strip() for s in str(err.value).splitlines()[1:]] == [
             "line 4: clip id dog of sub/dog.wav repeats line 2 (dog.wav)"]
 
+    def test_files_beside_the_csv_but_not_under_audio_are_missing(self, tmp_path):
+        meta = write_meta(tmp_path, [("a.wav", 1, 0, "dog"), ("b.wav", 2, 1, "cat")])
+        (tmp_path / "audio").rmdir()
+        for name in ("a.wav", "b.wav"):
+            save_wav(Waveform(np.zeros(160, dtype=np.float32), 16000), tmp_path / name)
+        with pytest.raises(ValueError) as err:
+            data.ingest(tmp_path, meta, num_classes=4)
+        assert [s.strip() for s in str(err.value).splitlines()[1:]] == [
+            f"line 2: missing audio file {tmp_path / 'audio' / 'a.wav'}",
+            f"line 3: missing audio file {tmp_path / 'audio' / 'b.wav'}"]
+
     def test_missing_columns_reported_on_header_line(self, tmp_path):
         meta = write_meta(tmp_path, [("a.wav", 1, 0)], header=["filename", "fold", "target"],
                           audio=("a.wav",))

@@ -393,8 +393,9 @@ class TestConfig:
         (dict(stage_depths=(1.5, 1)), "stage_depths must be positive integers"),
         (dict(stage_dims=(8.5, 16)), "stage_dims must be positive integers"),
         (dict(num_classes=2.5), "num_classes must be an integer >= 2"),
+        (dict(stage_dims=(8,)), "stage_dims and stage_depths must have equal length"),
     ], ids=["no_stages", "fractional_stage_depth", "fractional_stage_dim",
-            "fractional_num_classes"])
+            "fractional_num_classes", "unequal_stage_lists"])
     def test_impossible_value_names_the_field(self, fields, check):
         with pytest.raises(ValueError, match=check):
             FocalNetConfig(**{"stage_depths": (1, 1), "stage_dims": (8, 16), "num_classes": 4,

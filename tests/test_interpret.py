@@ -8,7 +8,7 @@ import pytest
 
 from focalaudio.audio import LOG_EPS, Waveform, istft_reconstruct, stft
 from focalaudio.focalnet import FocalNet, FocalNetConfig
-from focalaudio.interpret import apply_mask, logits_and_maps, modulation_map, threshold_mask
+from focalaudio.interpret import apply_mask, modulation_map, predict, threshold_mask
 from focalaudio.tensor import Tensor, no_grad
 
 RNG = np.random.default_rng(11)
@@ -110,20 +110,22 @@ class TestModulationMap:
             np.testing.assert_allclose(batched, single, rtol=1e-5, atol=1e-7)
 
 
-class TestLogitsAndMaps:
-    def test_chunks_give_the_forward_and_its_map(self):
+class TestPredict:
+    def test_chunks_give_the_forward_its_classes_and_its_map(self):
         model = FocalNet(FocalNetConfig.tiny(4), seed=0)
         x = RNG.standard_normal((5, 3, 32, 32)).astype(np.float32)
-        logits, maps = logits_and_maps(model, iter(x), batch_size=2)
-        assert logits.shape == (5, 4) and maps.shape == (5, 4, 4)
+        classes, probs, maps = predict(model, iter(x), batch_size=2)
+        assert classes.shape == (5,) and classes.dtype == np.int64
+        assert probs.shape == (5, 4) and maps.shape == (5, 4, 4)
         with no_grad():
             whole, modulator = model.forward(x)
-        np.testing.assert_allclose(logits, whole.data, rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(classes, np.argmax(whole.data, axis=-1))
+        np.testing.assert_allclose(probs, model.predict_proba(x), rtol=1e-5, atol=1e-7)
         np.testing.assert_allclose(maps, modulation_map(modulator), rtol=1e-5, atol=1e-7)
 
     def test_no_inputs_and_no_batch_rejected(self):
         model = FocalNet(FocalNetConfig.tiny(4), seed=0)
         with pytest.raises(ValueError, match="empty input set"):
-            logits_and_maps(model, [])
+            predict(model, [])
         with pytest.raises(ValueError, match="batch_size"):
-            logits_and_maps(model, [np.zeros((3, 32, 32), np.float32)], batch_size=0)
+            predict(model, [np.zeros((3, 32, 32), np.float32)], batch_size=0)

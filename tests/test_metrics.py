@@ -78,7 +78,7 @@ def test_listening_waveform_is_the_masked_spectrogram_reconstructed(synth):
     for path in paths[::3]:
         wav = audio.load_wav(path)
         spec, x = audio.preprocess(wav, frontend)
-        _, [m] = interpret.logits_and_maps(model, [x])
+        _, _, [m] = interpret.predict(model, [x])
         [keep] = interpret.threshold_mask(m, [0.9], spec.log_mag.shape)
         silent = np.float32(np.log(audio.LOG_EPS))
         want = audio.istft_reconstruct(replace(spec, log_mag=np.where(keep, spec.log_mag, silent)))
@@ -155,7 +155,7 @@ def test_masked_inputs_match_the_full_resolution_path(seconds, constant_map, qs)
     model = RecordingModel(constant_map)
     metrics.evaluate(model, clips, qs, INPUT_SIZE)
     inputs, masked = model.batches[0], np.concatenate(model.batches[1:])
-    _, maps = interpret.logits_and_maps(RecordingModel(constant_map), inputs)
+    _, _, maps = interpret.predict(RecordingModel(constant_map), inputs)
     expected = []
     for spec, m in zip(clips, maps):
         for mask in interpret.threshold_mask(m, qs, spec.log_mag.shape):
@@ -201,6 +201,42 @@ def test_evaluate_accuracy_and_predict_batch_agree(synth):
     clip_set = training.ClipSet(inputs, labels, [f"c{i}" for i in range(8)])
     expected = metrics.accuracy(np.asarray(REF_PREDICTIONS), labels)
     assert training.evaluate_accuracy(model, clip_set) == expected == 0.375
+
+
+class NearTieModel:
+    """Float32 logits [0, 1e-8] for every input: class 1 by its logits,
+    though both float32 probabilities round to 0.5. Its modulator is all
+    ones, an [8, 8] map."""
+
+    def forward(self, x):
+        logits = np.zeros((len(x), 2), np.float32)
+        logits[:, 1] = 1e-8
+        return Tensor(logits), np.ones((len(x), 1, 8, 8))
+
+
+def test_a_near_tie_is_one_class_to_every_reader(synth):
+    _, specs, _, _ = synth
+    model, clip = NearTieModel(), specs[:1]
+    ev = metrics.evaluate(model, clip, (0.5,), INPUT_SIZE)
+    preds = metrics.predict_batch(model, clip, INPUT_SIZE)
+    inputs = np.stack([audio.to_model_input(clip[0], out=INPUT_SIZE)])
+    acc = training.evaluate_accuracy(model, training.ClipSet(inputs, np.array([1]), ["c0"]))
+    assert ev.predicted.tolist() == preds.tolist() == [1]
+    assert acc == 1.0
+
+
+@pytest.mark.parametrize("qs, n_clips, check", [
+    ((), 1, "no q values"),
+    ((0.5, 1.5), 1, r"q values must lie in \[0, 1\]"),
+    ((-0.1,), 1, r"q values must lie in \[0, 1\]"),
+    ((0.5, 0.5), 1, "q values must be strictly increasing"),
+    ((0.9, 0.1), 1, "q values must be strictly increasing"),
+    ((0.5,), 0, "empty clip set"),
+], ids=["no_q", "q_above_one", "q_below_zero", "q_repeated", "q_decreasing", "no_clips"])
+def test_evaluate_refuses_an_impossible_request(synth, qs, n_clips, check):
+    model, specs, _, _ = synth
+    with pytest.raises(ValueError, match=check):
+        metrics.evaluate(model, specs[:n_clips], qs, INPUT_SIZE)
 
 
 def test_accuracy_is_the_exact_match_rate():
