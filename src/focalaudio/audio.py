@@ -235,8 +235,8 @@ def stft(w: Waveform) -> Spectrogram:
             f"clip of {w.samples.size} samples is shorter than one window ({WIN_LENGTH})"
         )
     x = np.pad(w.samples.astype(np.float64), N_FFT // 2, mode="reflect")
-    starts = np.arange(1 + w.samples.size // HOP_LENGTH) * HOP_LENGTH
-    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[starts] * WINDOW
+    # every HOP_LENGTH-th of the n + 1 windows: 1 + n // HOP_LENGTH frames
+    frames = np.lib.stride_tricks.sliding_window_view(x, N_FFT)[::HOP_LENGTH] * WINDOW
     spec = np.fft.rfft(frames, axis=1).T  # [freq_bins, frames]
     log_mag = np.log(np.abs(spec) + LOG_EPS).astype(np.float32)
     phase = np.angle(spec).astype(np.float32)

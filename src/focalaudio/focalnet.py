@@ -276,14 +276,10 @@ class FocalNet(Module):
         x = self.final_norm(x)
         return T.global_avg_pool(x), modulator.data
 
-    def logits_from_features(self, feats: Tensor) -> Tensor:
-        """Scaled cosine similarity against the head's class-weight rows."""
-        return cosine(feats, self.head.weight) * LOGIT_SCALE
-
     def forward(self, x):
         """Returns (logits [B, K], modulator), the modulator as in `forward_features`."""
         feats, modulator = self.forward_features(x)
-        return self.logits_from_features(feats), modulator
+        return cosine(feats, self.head.weight) * LOGIT_SCALE, modulator
 
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities [B, K]."""

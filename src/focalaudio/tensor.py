@@ -6,6 +6,9 @@ convolution, GeLU, layer normalization, global average pooling and the
 training loss as one fused softmax cross-entropy, plus the ops between
 them (add, mul, div, sqrt, sum, indexing, reshaping, transposing and
 broadcasting), each with a hand-written backward rule.
+`_attach` records a rule only in grad mode and when a parent requires a
+gradient, so a one-parent rule accumulates without testing; a rule with
+more parents tests each, as any of them may be a constant.
 `softmax` is the one function here that records no node: every caller
 reads class probabilities under no_grad, so it has no backward rule and
 refuses an input that requires a gradient in grad mode. It stays in this
@@ -157,12 +160,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return div(self, other)
@@ -263,8 +262,7 @@ def sqrt(a: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g * (0.5 / y))
+        _accum(a, g * (0.5 / y))
 
     return _attach(out, (a,), "sqrt", bw)
 
@@ -277,8 +275,6 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
 
     def bw(g):
-        if not a.requires_grad:
-            return
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape))
@@ -290,8 +286,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g.reshape(a.shape))
+        _accum(a, g.reshape(a.shape))
 
     return _attach(out, (a,), "reshape", bw)
 
@@ -302,8 +297,7 @@ def transpose(a: Tensor, axes) -> Tensor:
     inv = tuple(np.argsort(axes))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, g.transpose(inv))
+        _accum(a, g.transpose(inv))
 
     return _attach(out, (a,), "transpose", bw)
 
@@ -332,10 +326,9 @@ def getitem(a: Tensor, idx) -> Tensor:
     out = Tensor(a.data[idx])
 
     def bw(g):
-        if a.requires_grad:
-            ga = np.zeros_like(a.data)
-            ga[idx] = g
-            _accum(a, ga)
+        ga = np.zeros_like(a.data)
+        ga[idx] = g
+        _accum(a, ga)
 
     return _attach(out, (a,), "getitem", bw)
 
@@ -345,8 +338,7 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
     out = Tensor(np.broadcast_to(a.data, shape))
 
     def bw(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g, a.shape))
+        _accum(a, _unbroadcast(g, a.shape))
 
     return _attach(out, (a,), "broadcast", bw)
 
@@ -492,8 +484,7 @@ def gelu(x: Tensor) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        if x.requires_grad:
-            _accum(x, _gelu_grad(x.data, cdf, g))
+        _accum(x, _gelu_grad(x.data, cdf, g))
 
     return _attach(out, (x,), "gelu", bw)
 
@@ -622,9 +613,8 @@ def global_avg_pool(x: Tensor) -> Tensor:
     out = Tensor(x.data.mean(axis=(-2, -1)))
 
     def bw(g):
-        if x.requires_grad:
-            g = g[..., None, None] / x.dtype.type(h * w)
-            _accum(x, np.broadcast_to(g, x.shape))
+        g = g[..., None, None] / x.dtype.type(h * w)
+        _accum(x, np.broadcast_to(g, x.shape))
 
     return _attach(out, (x,), "global_avg_pool", bw)
 
@@ -660,9 +650,8 @@ def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     rows = z.dtype.type(z.shape[0])
 
     def bw(g):
-        if logits.requires_grad:
-            gm = g / rows
-            _accum(logits, -gm * onehot + (gm / s)[:, None] * e)
+        gm = g / rows
+        _accum(logits, -gm * onehot + (gm / s)[:, None] * e)
 
     return _attach(out, (logits,), "cross_entropy", bw)
 
@@ -728,12 +717,14 @@ def _walk_params(name: str, value) -> Iterator[tuple[str, Tensor]]:
 
 def trunc_normal(shape, rng: np.random.Generator) -> Tensor:
     """Normal(0, 0.02) resampled until within two standard deviations, as a
-    trainable float32 parameter."""
+    trainable float32 parameter. Each round redraws, in index order, only
+    the values the last round left out of range."""
     vals = rng.normal(0.0, _INIT_STD, size=shape)
-    bad = np.abs(vals) > 2 * _INIT_STD
-    while bad.any():
-        vals[bad] = rng.normal(0.0, _INIT_STD, size=int(bad.sum()))
-        bad = np.abs(vals) > 2 * _INIT_STD
+    flat = vals.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * _INIT_STD)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, _INIT_STD, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2 * _INIT_STD]
     return Tensor(vals.astype(DEFAULT_DTYPE), requires_grad=True)
 
 

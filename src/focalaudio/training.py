@@ -13,10 +13,11 @@ step `optimizer_t`, and `params`, one [name, shape] entry per parameter in
 strictly increasing name order. The payload is the parameters as
 little-endian float32, the model's one dtype, in that order, followed, when
 `optimizer_t` > 0, by every parameter's Adam first moment and then its
-second moment, in the same order; `optimizer_step` makes both moments of
-every parameter at its first step, so the step count says whether they are
-there. Offsets follow from the shapes. A file of any other version is
-refused by its number.
+second moment, in the same order. `optimizer_step` makes both moments of
+every parameter at its first step and, like `save_checkpoint`, refuses at
+every step moments that pair otherwise with the parameters, so the step
+count says whether they are there. Offsets follow from the shapes. A file
+of any other version is refused by its number.
 
 Training is serial and deterministic given the run seed: data order is
 shuffled per epoch from (seed, epoch), augmentation randomness is derived
@@ -183,13 +184,34 @@ class AdamState:
     t: int = 0
 
 
+def _moment_mismatch(shapes: dict, state: AdamState) -> str | None:
+    """The first way the Adam moments fail to pair with parameters of these
+    shapes, or None: at step 0 there are no moments, and after it both
+    moment sets hold one moment per parameter, of its shape."""
+    for kind, moments in (("adam_m", state.m), ("adam_v", state.v)):
+        unpaired = moments.keys() ^ (shapes.keys() if state.t else set())
+        if unpaired:
+            return (f"{kind} at optimizer_t {state.t} differs from the parameters "
+                    f"in {sorted(unpaired)}")
+        for name, moment in moments.items():
+            if moment.shape != shapes[name]:
+                return f"{kind} {name} has shape {moment.shape}, its parameter {shapes[name]}"
+    return None
+
+
 def optimizer_step(params: dict, state: AdamState, lr: float) -> float:
     """Global-norm clipping at `GRAD_CLIP_NORM`, then Adam (betas 0.9 and
     0.999, eps 1e-8) with decoupled weight decay `WEIGHT_DECAY`.
 
     Returns the pre-clip global gradient norm. Missing gradients count as
-    zero; a non-finite gradient aborts naming the parameter path.
+    zero; a non-finite gradient aborts naming the parameter path. Moments
+    that do not pair with `params` as `_moment_mismatch` requires are a
+    `ValueError` naming the first mismatch. Both refusals come before any
+    parameter or `state` changes.
     """
+    mismatch = _moment_mismatch({name: p.shape for name, p in params.items()}, state)
+    if mismatch:
+        raise ValueError(mismatch)
     grads = {}
     sq = 0.0
     for name, p in params.items():
@@ -398,15 +420,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     parameter or moment that is not float32, any moment at step 0, and after
     it any set that is not one moment per parameter, of its shape."""
     opt = ckpt.optimizer
-    for kind, moments in (("adam_m", opt.m), ("adam_v", opt.v)):
-        unpaired = moments.keys() ^ (ckpt.params.keys() if opt.t else set())
-        if unpaired:
-            raise CheckpointError(f"{kind} at optimizer_t {opt.t} differs from the parameters "
-                                  f"in {sorted(unpaired)}")
-        for name, moment in moments.items():
-            if moment.shape != ckpt.params[name].shape:
-                raise CheckpointError(f"{kind} {name} has shape {moment.shape}, its parameter "
-                                      f"{ckpt.params[name].shape}")
+    mismatch = _moment_mismatch({name: p.shape for name, p in ckpt.params.items()}, opt)
+    if mismatch:
+        raise CheckpointError(mismatch)
     for kind, arrays in (("parameter", ckpt.params), ("adam_m", opt.m), ("adam_v", opt.v)):
         for name, arr in arrays.items():
             if arr.dtype != np.float32:

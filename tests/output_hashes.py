@@ -18,8 +18,9 @@ the interpretation, probability, probability on the removal) row per clip
 and q, clip-major; the per-clip sweep entries, `predict_batch` at
 batch size 3 and the q = 0.9 listening waveforms. Then a 2-epoch desk `fit`
 on the 16 kHz, 1 s, 80-clip synthetic set of seed 0: its log lines without
-the timing keys, its history and the `model_id` of its last and best
-checkpoints.
+the timing keys, its history, the `model_id` of its last and best
+checkpoints, and the bytes `save_checkpoint` writes for its last checkpoint,
+which show a change to the checkpoint file beyond its parameters.
 
     PYTHONPATH=src python tests/output_hashes.py --dump DIR
 
@@ -29,7 +30,8 @@ two trees' outputs are apart. Floating arrays are numbers (logits,
 probabilities, samples, losses, parameters), integer arrays are classes and
 boolean arrays are mask cells: the q-quantile masks of each modulator's
 map, at spectrogram resolution for the pool's clips and at 96x96 for the
-desk forward's inputs.
+desk forward's inputs. The checkpoint line dumps no arrays: its
+parameters are `fit_model_ids`'s.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ def fit_outputs(root: Path) -> dict:
     params = {f"{which}_params": np.concatenate([ckpt.params[n].reshape(-1)
                                                  for n in sorted(ckpt.params)])
               for which, ckpt in (("last", res.last), ("best", res.best))}
+    training.save_checkpoint(res.last, root / "last.ckpt")
     return {"fit_log": (sha(lines), columns(lines)),
             "fit_history": (sha(res.history), columns(res.history)),
-            "fit_model_ids": (sha([res.last.model_id(), res.best.model_id()]), params)}
+            "fit_model_ids": (sha([res.last.model_id(), res.best.model_id()]), params),
+            "fit_checkpoint": (sha((root / "last.ckpt").read_bytes()), {})}
 
 
 def dump(outputs: dict, out_dir: Path) -> None:

@@ -696,6 +696,55 @@ class TestPlumbingOps:
             T.check_finite(np.array([1.0, np.nan]), "unit test")
 
 
+# every op whose rule has one parent, as (tape label, input shape, op)
+ONE_PARENT_OPS = [
+    ("sqrt", (2, 3, 4, 5), T.sqrt),
+    ("sum", (2, 3, 4, 5), lambda t: t.sum(axis=1)),
+    ("reshape", (2, 3, 4, 5), lambda t: T.reshape(t, (6, 20))),
+    ("transpose", (2, 3, 4, 5), lambda t: T.transpose(t, (3, 1, 0, 2))),
+    ("getitem", (2, 3, 4, 5), lambda t: t[:, 1:, ::2]),
+    ("broadcast", (3, 1, 5), lambda t: T.broadcast_to(t, (2, 3, 4, 5))),
+    ("gelu", (2, 3, 4, 5), gelu),
+    ("global_avg_pool", (2, 3, 4, 5), global_avg_pool),
+    ("cross_entropy", (3, 4), lambda t: T.cross_entropy(t, np.eye(4)[[0, 3, 1]])),
+]
+
+
+class TestOneParentRules:
+    """`_attach` records a one-parent rule only for a parent that requires a
+    gradient, so the rule itself tests nothing."""
+
+    @pytest.mark.parametrize("label, shape, op", ONE_PARENT_OPS,
+                             ids=[case[0] for case in ONE_PARENT_OPS])
+    def test_constant_records_no_node(self, label, shape, op):
+        out = op(Tensor(RNG.uniform(0.5, 1.5, shape)))
+        assert out._backward is None and out._parents == () and out._op == "leaf"
+        assert not out.requires_grad
+
+    @pytest.mark.parametrize("label, shape, op", ONE_PARENT_OPS,
+                             ids=[case[0] for case in ONE_PARENT_OPS])
+    def test_rule_accumulates_into_its_parent(self, label, shape, op):
+        x = Tensor(RNG.uniform(0.5, 1.5, shape), requires_grad=True)
+        out = op(x)
+        assert out._op == label and out._parents == (x,) and out.requires_grad
+        g = RNG.standard_normal(out.shape)
+        out._backward(g)
+        first = np.array(x.grad)
+        assert first.shape == shape and np.abs(first).max() > 0
+        out._backward(g)
+        np.testing.assert_allclose(x.grad, 2 * first, rtol=1e-15)
+
+
+def _trunc_normal_oracle(shape, rng):
+    """The reference redraw loop: every value is re-tested after each round."""
+    vals = rng.normal(0.0, 0.02, size=shape)
+    bad = np.abs(vals) > 0.04
+    while bad.any():
+        vals[bad] = rng.normal(0.0, 0.02, size=int(bad.sum()))
+        bad = np.abs(vals) > 0.04
+    return vals.astype(np.float32)
+
+
 class TestModule:
     def test_named_parameters_traversal(self):
         class Leaf(T.Module):
@@ -727,6 +776,17 @@ class TestModule:
         p = T.trunc_normal((1000,), np.random.default_rng(0))
         assert np.abs(p.data).max() <= 0.04 + 1e-9
         assert p.data.std() > 0.005
+
+    @pytest.mark.parametrize("shape", [(1000,), (64, 48), (8, 3, 5, 5), ()])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trunc_normal_redraws_as_the_full_retest_does(self, shape, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = T.trunc_normal(shape, rng)
+        want = _trunc_normal_oracle(shape, oracle_rng)
+        assert p.data.dtype == want.dtype and p.data.shape == want.shape
+        assert p.data.tobytes() == want.tobytes()
+        # the same generator calls: both generators end in one state
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_relative_error_zero_for_zero_grads():

@@ -597,6 +597,27 @@ class TestOptimizerStep:
             np.testing.assert_allclose(state.m[k], m[k], rtol=1e-12, atol=1e-15, err_msg=k)
             np.testing.assert_allclose(state.v[k], v[k], rtol=1e-12, atol=1e-15, err_msg=k)
 
+    # unchecked, these half-apply a step: "a" moves and `t` rises before numpy
+    # fails to broadcast "b", or "b" takes a fresh-Adam step at step 4
+    @pytest.mark.parametrize("moments, t, check", [
+        ({"a": 3, "b": 5}, 3, r"adam_m b has shape \(5,\), its parameter \(4,\)"),
+        ({"a": 3}, 3, re.escape("adam_m at optimizer_t 3 differs from the parameters in ['b']")),
+        ({"b": 4}, 0, re.escape("adam_m at optimizer_t 0 differs from the parameters in ['b']")),
+    ], ids=["reshaped", "missing", "before_the_first_step"])
+    def test_moments_that_do_not_fit_are_refused_before_any_change(self, moments, t, check):
+        params = {"a": Tensor(np.ones(3), requires_grad=True),
+                  "b": Tensor(np.ones(4), requires_grad=True)}
+        for p in params.values():
+            p.grad = np.full(p.shape, 0.5)
+        state = training.AdamState(m={k: np.zeros(n) for k, n in moments.items()},
+                                   v={k: np.zeros(n) for k, n in moments.items()}, t=t)
+        with pytest.raises(ValueError, match=check):
+            training.optimizer_step(params, state, 1e-3)
+        assert state.t == t
+        assert {k: m.shape for k, m in state.m.items()} == {k: (n,) for k, n in moments.items()}
+        for p in params.values():
+            np.testing.assert_array_equal(p.data, np.ones(p.shape))
+
     def test_non_finite_gradient_names_parameter(self):
         params = {"stages.0.w": Tensor(np.ones(3), requires_grad=True)}
         params["stages.0.w"].grad = np.array([0.0, np.inf, 1.0])
